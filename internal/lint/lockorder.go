@@ -11,15 +11,16 @@ import (
 // LockOrder extracts the package's lock acquisition graph and rejects
 // orderings that can deadlock.
 //
-// Nodes are lock classes ("CoordinatorServer.connsMu",
+// Nodes are lock classes ("Downlink.peersMu",
 // "shardState.mu"); an edge A→B is recorded when B is acquired while A
 // is held — directly, or through a static call to a same-package
 // function that (transitively) acquires B. Three rules:
 //
-//  1. The sanctioned transport order (DESIGN.md §9): a shard ingest
-//     mutex may be held while taking connsMu for broadcast fan-out;
-//     connsMu must NEVER be held while taking a shard mutex. The
-//     reverse edge is rejected wherever it appears.
+//  1. The sanctioned transport order (DESIGN.md §9.3): a shard ingest
+//     mutex may be held while taking the link layer's registry mutex
+//     (Downlink.peersMu) for broadcast fan-out; the registry mutex must
+//     NEVER be held while taking a shard mutex. The reverse edge is
+//     rejected wherever it appears.
 //  2. Any cycle in the acquisition graph is rejected — two functions
 //     disagreeing about order is a deadlock waiting for load.
 //  3. A lock acquired in a loop body and still held at the body's end
@@ -32,7 +33,7 @@ import (
 // does not inherit its creator's held set.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "rejects lock acquisition orders that invert shardMu→connsMu or form a cycle",
+	Doc:  "rejects lock acquisition orders that invert shardMu→peersMu or form a cycle",
 	Run:  runLockOrder,
 }
 
@@ -45,7 +46,7 @@ var forbiddenOrders = []struct {
 	to        string // acquired lock class
 	rule      string
 }{
-	{"connsMu", "shardState.mu", "connsMu is never held while taking a shard ingest mutex (DESIGN.md §9)"},
+	{"peersMu", "shardState.mu", "the link layer's registry mutex peersMu is never held while taking a shard ingest mutex (DESIGN.md §9.3)"},
 }
 
 // lockEdge is one A-held-while-acquiring-B observation.

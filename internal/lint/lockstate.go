@@ -22,7 +22,7 @@ import (
 
 // lockInfo is one held lock.
 type lockInfo struct {
-	key    string    // lock identity class, e.g. "CoordinatorServer.connsMu"
+	key    string    // lock identity class, e.g. "Downlink.peersMu"
 	pos    token.Pos // acquisition site
 	read   bool      // RLock
 	sticky bool      // released by defer: held to end of function
@@ -99,7 +99,7 @@ func (w *lockWalker) lockOp(call *ast.CallExpr) (op string, key string, ok bool)
 }
 
 // lockKey names the lock class of a mutex expression: "Type.field" for
-// a struct-field mutex (the common case — sh.mu, s.connsMu), the
+// a struct-field mutex (the common case — sh.mu, d.peersMu), the
 // identifier name for a variable mutex, and "Type.Mutex" for an
 // embedded one. Instances are deliberately collapsed to classes: the
 // acquisition-order invariants are stated over classes.

@@ -26,10 +26,10 @@ import (
 //   - channel sends and receives, except inside a select that has a
 //     default clause (those never block).
 //
-// A mutex that exists to serialize the writes themselves (a dedicated
-// writer mutex guarding only the bufio.Writer, like SiteClient.wmu) is
-// a sanctioned exception: annotate the write with //wrslint:allow
-// nolockio and say which mutex guards what.
+// A mutex that exists to serialize the writes themselves (the dedicated
+// writer mutex a role holds over its transport.Uplink) is a sanctioned
+// exception: annotate the write with //wrslint:allow nolockio and say
+// which mutex guards what.
 var NoLockIO = &Analyzer{
 	Name: "nolockio",
 	Doc:  "flags conn/bufio writes, flushes, and blocking channel ops while a mutex is held",

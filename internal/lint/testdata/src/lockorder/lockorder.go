@@ -1,5 +1,5 @@
 // Package lockorder is the wrs-lint fixture for the lockorder
-// analyzer: the forbidden connsMu→shardMu inversion (direct and
+// analyzer: the forbidden peersMu→shardMu inversion (direct and
 // through a same-package call), an acquisition-order cycle, and the
 // loop-repeated acquisition that needs a documented global order.
 package lockorder
@@ -14,15 +14,15 @@ type shardState struct {
 }
 
 type server struct {
-	connsMu sync.Mutex
+	peersMu sync.Mutex
 	shards  []*shardState
 }
 
-// badDirect inverts the sanctioned order: the broadcast mutex is held
-// while taking a shard ingest mutex.
+// badDirect inverts the sanctioned order: the link layer's registry
+// mutex is held while taking a shard ingest mutex.
 func (s *server) badDirect(i int) {
-	s.connsMu.Lock()
-	defer s.connsMu.Unlock()
+	s.peersMu.Lock()
+	defer s.peersMu.Unlock()
 	sh := s.shards[i]
 	sh.mu.Lock() // want "inverts the sanctioned lock order"
 	sh.n++
@@ -30,16 +30,16 @@ func (s *server) badDirect(i int) {
 }
 
 type router struct {
-	connsMu sync.Mutex
+	peersMu sync.Mutex
 	shard   *shardState
 }
 
 // badIndirect reaches the shard mutex through a same-package call: the
 // transitive closure over static calls still sees the inversion.
 func (r *router) badIndirect() {
-	r.connsMu.Lock()
+	r.peersMu.Lock()
 	r.lockShard() // want "inverts the sanctioned lock order"
-	r.connsMu.Unlock()
+	r.peersMu.Unlock()
 }
 
 func (r *router) lockShard() {
@@ -91,9 +91,10 @@ func (s *server) okLoop() {
 }
 
 // hub and ingest exercise the sanctioned transport direction: a shard
-// ingest mutex may be held while taking the broadcast mutex.
+// ingest mutex may be held while taking the registry mutex for
+// broadcast fan-out.
 type hub struct {
-	connsMu sync.Mutex
+	peersMu sync.Mutex
 	shard   ingest
 }
 
@@ -104,8 +105,8 @@ type ingest struct {
 
 func (h *hub) goodDirection() {
 	h.shard.mu.Lock()
-	h.connsMu.Lock()
+	h.peersMu.Lock()
 	h.shard.n = 1
-	h.connsMu.Unlock()
+	h.peersMu.Unlock()
 	h.shard.mu.Unlock()
 }

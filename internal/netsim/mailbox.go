@@ -24,14 +24,23 @@ func NewMailbox[T any]() *Mailbox[T] {
 
 // Put appends v. Put on a closed mailbox panics (protocol bug).
 func (m *Mailbox[T]) Put(v T) {
+	if !m.TryPut(v) {
+		panic("netsim: Put on closed Mailbox")
+	}
+}
+
+// TryPut appends v unless the mailbox is closed, and reports whether it
+// did — for producers that may race the consumer's teardown.
+func (m *Mailbox[T]) TryPut(v T) bool {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		panic("netsim: Put on closed Mailbox")
+		return false
 	}
 	m.q = append(m.q, v)
 	m.mu.Unlock()
 	m.cond.Signal()
+	return true
 }
 
 // TryGet pops the head without blocking. ok is false when empty.

@@ -217,6 +217,20 @@ func TestMailboxPutAfterClosePanics(t *testing.T) {
 	m.Put(1)
 }
 
+func TestMailboxTryPut(t *testing.T) {
+	m := NewMailbox[int]()
+	if !m.TryPut(1) {
+		t.Fatal("TryPut on open mailbox refused")
+	}
+	m.Close()
+	if m.TryPut(2) {
+		t.Fatal("TryPut on closed mailbox accepted")
+	}
+	if v, ok := m.Get(); !ok || v != 1 {
+		t.Fatalf("Get after close = (%d, %v), want the pre-close value", v, ok)
+	}
+}
+
 func TestMailboxConcurrent(t *testing.T) {
 	m := NewMailbox[int]()
 	const producers, perProducer = 8, 1000

@@ -35,7 +35,6 @@
 package relay
 
 import (
-	"fmt"
 	"sort"
 
 	"wrs/internal/core"
@@ -147,36 +146,14 @@ func UnionMergeable(proto any) bool {
 	return ok && mk.UnionTopSMergeable()
 }
 
-// resolveShard mirrors the coordinator server's frame dispatch: a
-// shard-tagged frame names its shard, an untagged batch frame is shard
-// 0 on an unsharded relay and a protocol violation on a sharded one
-// (the sender does not know the shard layout). Every violation is an
-// error — the connection must be dropped — never a panic.
-func resolveShard(payload []byte, shards int) (int, []byte, error) {
-	shard, msgs := 0, payload
-	if wire.IsShardFrame(payload) {
-		var err error
-		shard, msgs, err = wire.ParseShardFrame(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if shard >= shards {
-			return 0, nil, fmt.Errorf("relay: frame for shard %d, relay hosts %d", shard, shards)
-		}
-	} else if shards > 1 {
-		return 0, nil, fmt.Errorf("relay: untagged batch frame on a %d-shard relay", shards)
-	}
-	return shard, msgs, nil
-}
-
 // ProcessUpFrame decodes one child-to-parent batch frame against the
 // per-shard machines, running every message through the target shard's
-// filters and handing survivors to forward. Malformed input — bad shard
-// tag, out-of-range shard, misaligned or undecodable message section —
-// returns an error so the caller drops the child connection; it never
-// panics (FuzzRelayFrames).
+// filters (wire.ResolveShard names the shard) and handing survivors to
+// forward. Malformed input — bad shard tag, out-of-range shard,
+// misaligned or undecodable message section — returns an error so the
+// caller drops the child connection; it never panics (FuzzRelayFrames).
 func ProcessUpFrame(machines []*Machine, payload []byte, forward func(shard int, m core.Message)) error {
-	shard, msgs, err := resolveShard(payload, len(machines))
+	shard, msgs, err := wire.ResolveShard(payload, len(machines))
 	if err != nil {
 		return err
 	}
@@ -191,7 +168,7 @@ func ProcessUpFrame(machines []*Machine, payload []byte, forward func(shard int,
 // the message and word counts for fan-down accounting. Malformed input
 // returns an error — the parent link is unusable — never a panic.
 func ProcessDownFrame(machines []*Machine, payload []byte) (msgs, words int64, err error) {
-	shard, body, err := resolveShard(payload, len(machines))
+	shard, body, err := wire.ResolveShard(payload, len(machines))
 	if err != nil {
 		return 0, 0, err
 	}

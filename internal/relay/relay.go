@@ -5,20 +5,11 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"wrs/internal/core"
 	"wrs/internal/fabric"
-	"wrs/internal/netsim"
+	"wrs/internal/transport"
 	"wrs/internal/wire"
-)
-
-// Control frame payloads, shared with the transport (wire constants).
-// Writers treat queued payloads as read-only, so the static slices are
-// safe to share across child outboxes.
-var (
-	pingPayload = []byte{wire.PingByte}
-	pongPayload = []byte{wire.PongByte}
 )
 
 // Options configures a relay node.
@@ -30,72 +21,50 @@ type Options struct {
 	Merge bool
 }
 
-// child is one downstream connection (a site client or a lower relay)
-// and its outbox. dead is guarded by the relay's upMu and set before
-// the outbox closes, so a parent pong racing the teardown never Puts
-// into a closed mailbox.
-type child struct {
-	conn   net.Conn
-	outbox *netsim.Mailbox[[]byte]
-	dead   bool
-	bcasts int64 // broadcast messages delivered to this child (under upMu for snapshot, atomic-free: counted by the single fan goroutine)
-}
-
 // Relay is one node of the aggregation tree over real connections. It
 // dials ONE upstream connection (to the coordinator server or a higher
 // relay), listens for downstream connections, and moves traffic both
-// ways:
+// ways. It is both roles of the transport link layer: a
+// transport.Uplink toward its parent and a transport.Downlink toward
+// its children, so the accept loop, join snapshot, per-child writers,
+// fan-out accounting and frame building are the server's and the site
+// client's own.
 //
 // Up: each child's frames are decoded and run through the per-shard
 // filter machines; survivors are coalesced into per-shard batch frames
-// buffered on the upstream writer. A child's flow-control ping ships
-// every buffered frame, forwards the ping, and remembers the child in a
-// FIFO so the matching pong can be routed back — per-connection FIFO on
-// the parent link plus in-order processing here means the pong reaches
-// the child only after every broadcast its data triggered has been
-// queued to it, which is exactly the invariant SiteClient's
-// bounded-staleness window needs, so the Theorem 3 message bound
-// survives any tree depth by induction over tiers.
+// on the uplink. A child's flow-control ping ships every buffered
+// frame, forwards the ping, and remembers the child in a FIFO so the
+// matching pong can be routed back — per-connection FIFO on the parent
+// link plus in-order processing here means the pong reaches the child
+// only after every broadcast its data triggered has been queued to it,
+// which is exactly the invariant SiteClient's bounded-staleness window
+// needs, so the Theorem 3 message bound survives any tree depth by
+// induction over tiers.
 //
 // Down: parent broadcast frames update the filter machines' monotone
-// control-plane view and are fanned verbatim to every child's outbox
-// (per-child writer goroutines, so a slow child never blocks the
-// relay). A child that attaches mid-stream first receives a synthesized
-// join snapshot of that view — broadcast monotonicity makes the replay
-// harmless, the same argument as the coordinator server's snapshot, one
-// hop down.
+// control-plane view and are fanned verbatim to every child. A child
+// that attaches mid-stream first receives a join snapshot of that view
+// — broadcast monotonicity makes the replay harmless, the same argument
+// as the coordinator server's snapshot, one hop down.
 //
-// Lock order: upMu (parent writer, filter machines, ping FIFO) and
-// connsMu (child registry) are never held together; the fan-down path
-// takes them strictly in sequence.
+// Lock order: upMu and the downlink's registry mutex are never held
+// together; the fan-down path takes them strictly in sequence.
 type Relay struct {
-	cfg    core.Config
 	shards int
-	tagged bool
-
 	parent net.Conn
+	ln     net.Listener
+	down   *transport.Downlink
 
-	// upMu is the dedicated parent-writer mutex: it guards pw and the
-	// per-shard frames under construction, the filter machines, the
-	// ping FIFO, and the sticky upstream-write error. It is never held
-	// while taking connsMu.
+	// upMu is the dedicated parent-writer mutex: it guards up, the
+	// filter machines, the pong route, and the sticky upstream-write
+	// error.
 	upMu     sync.Mutex
-	pw       *bufio.Writer
+	up       *transport.Uplink
 	machines []*Machine
-	frames   [][]byte
-	pingQ    []*child
+	pingQ    []*transport.Peer // children awaiting a pong, in ping order
 	upErr    error
 
-	connsMu  sync.Mutex // guards children, ln, and the closed handshake
-	children map[net.Conn]*child
-	ln       net.Listener
-
-	closed     atomic.Bool
-	wg         sync.WaitGroup
 	parentDone chan struct{}
-
-	downMsgs  atomic.Int64 // broadcast messages delivered to children (snapshots included)
-	downWords atomic.Int64
 }
 
 // New starts a relay for cfg hosting `shards` protocol shards: it dials
@@ -123,21 +92,18 @@ func New(cfg core.Config, shards int, parentAddr, listenAddr string, opts Option
 		return nil, err
 	}
 	r := &Relay{
-		cfg:        cfg,
 		shards:     shards,
-		tagged:     shards > 1,
 		parent:     parent,
-		pw:         bufio.NewWriterSize(parent, 32*1024),
-		machines:   make([]*Machine, shards),
-		frames:     make([][]byte, shards),
-		children:   make(map[net.Conn]*child),
 		ln:         ln,
+		up:         transport.NewUplink(parent, shards),
+		machines:   make([]*Machine, shards),
 		parentDone: make(chan struct{}),
 	}
 	for p := range r.machines {
 		r.machines[p] = NewMachine(cfg.S, opts.Merge)
 	}
-	go r.serve()
+	r.down = transport.NewDownlink(shards, r.joinSnapshot, r.child)
+	go r.down.Serve(ln)
 	go r.parentLoop()
 	return r, nil
 }
@@ -145,147 +111,37 @@ func New(cfg core.Config, shards int, parentAddr, listenAddr string, opts Option
 // Addr returns the relay's downstream listen address.
 func (r *Relay) Addr() string { return r.ln.Addr().String() }
 
-// serve accepts child connections until Close.
-func (r *Relay) serve() {
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		// The Add and the closed check share connsMu with Close, so every
-		// interleaving either lets Close see this child or lets this loop
-		// see the closed flag (the same handshake as the server's).
-		r.connsMu.Lock()
-		if r.closed.Load() {
-			r.connsMu.Unlock()
-			conn.Close()
-			continue
-		}
-		r.wg.Add(1)
-		r.connsMu.Unlock()
-		go r.handleChild(conn)
-	}
+// joinSnapshot replays shard p's monotone control-plane view to a child
+// that attaches mid-stream, so it does not filter at threshold 0
+// forever (the O(n) regression the server's snapshot exists to prevent
+// — re-proven one hop down, because a relay's view is a prefix of the
+// coordinator's broadcast sequence and replay/reorder/duplication of
+// monotone state is harmless).
+func (r *Relay) joinSnapshot(p int, emit func(core.Message)) {
+	r.upMu.Lock()
+	defer r.upMu.Unlock()
+	r.machines[p].Snapshot(emit)
 }
 
-func (r *Relay) handleChild(conn net.Conn) {
-	defer r.wg.Done()
-	ch := &child{conn: conn, outbox: netsim.NewMailbox[[]byte]()}
-	r.connsMu.Lock()
-	r.children[conn] = ch
-	r.connsMu.Unlock()
-
-	// Join snapshot: replay the monotone control-plane view this relay
-	// has accumulated, so a child that attaches mid-stream does not
-	// filter at threshold 0 forever (the O(n) regression the server's
-	// snapshot exists to prevent — re-proven one hop down, because a
-	// relay's view is a prefix of the coordinator's broadcast sequence
-	// and replay/reorder/duplication of monotone state is harmless).
-	// Registration happens first: a broadcast racing this snapshot is
-	// delivered through the outbox too, possibly ahead of a snapshot
-	// that already reflects it — harmless for the same reason.
-	r.upMu.Lock()
-	var snaps [][]byte
-	var snapMsgs, snapWords int64
-	for p := range r.machines {
-		var snap []byte
-		r.machines[p].Snapshot(func(m core.Message) {
-			if len(snap) == 0 && r.tagged {
-				snap = wire.AppendShardHeader(snap, p)
-			}
-			snap = wire.AppendMessage(snap, m)
-			snapMsgs++
-			snapWords += int64(m.Words())
-		})
-		if len(snap) > 0 {
-			snaps = append(snaps, snap)
-		}
-	}
-	r.upMu.Unlock()
-	for _, snap := range snaps {
-		ch.outbox.Put(snap)
-	}
-	if snapMsgs > 0 {
-		r.downMsgs.Add(snapMsgs)
-		r.downWords.Add(snapWords)
-	}
-	if r.closed.Load() {
-		r.dropChild(ch, nil)
-		return
-	}
-
-	// Writer: drains the outbox with coalesced flushes so broadcasts
-	// and pongs never block the child's reader (mirrors the server).
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriter(conn)
-		for {
-			payload, ok := ch.outbox.Get()
-			if !ok {
-				return
-			}
-			for {
-				if err := wire.WriteFrame(bw, payload); err != nil {
-					return
-				}
-				payload, ok = ch.outbox.TryGet()
-				if !ok {
-					break
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-	}()
-
-	br := bufio.NewReaderSize(conn, 64*1024)
-	var buf []byte
-	for {
-		payload, err := wire.ReadFrame(br, buf)
-		if err != nil {
-			break
-		}
-		buf = payload
+// child returns the per-frame handler for one downstream connection:
+// pings are forwarded up, everything else is filtered and buffered up.
+// Malformed child input drops this child's connection, never the relay;
+// a dead parent link (sticky upErr) also drops it, so children error
+// out instead of buffering forever.
+func (r *Relay) child(pr *transport.Peer) func([]byte) error {
+	return func(payload []byte) error {
 		if wire.IsPing(payload) {
-			if err := r.forwardPing(ch); err != nil {
-				break
-			}
-			continue
+			return r.forwardPing(pr)
 		}
-		// Malformed child input drops this child's connection, never the
-		// relay; a dead parent link (sticky upErr) also lands here so
-		// children error out instead of buffering forever.
-		if err := r.relayUp(payload); err != nil {
-			break
-		}
+		return r.relayUp(payload)
 	}
-	r.dropChild(ch, writerDone)
-}
-
-// dropChild unregisters a child and tears its connection down. The
-// dead flag is flipped under upMu before the outbox closes, so a pong
-// being routed to this child concurrently is skipped rather than put
-// into a closed mailbox.
-func (r *Relay) dropChild(ch *child, writerDone chan struct{}) {
-	r.connsMu.Lock()
-	delete(r.children, ch.conn)
-	r.connsMu.Unlock()
-	r.upMu.Lock()
-	ch.dead = true
-	r.upMu.Unlock()
-	ch.outbox.Close()
-	if writerDone != nil {
-		<-writerDone
-	}
-	ch.conn.Close()
 }
 
 // relayUp runs one child data frame through the shard filters,
-// buffering survivors into the per-shard upstream frames. Frames are
-// shipped to the buffered parent writer when full; the OS-bound flush
-// happens on the next flow-control ping, which every site issues at
-// least once per staleness window and on every Flush.
+// buffering survivors into the per-shard upstream frames. Frames ship
+// to the buffered parent writer when full; the OS-bound flush happens
+// on the next flow-control ping, which every site issues at least once
+// per staleness window and on every Flush.
 func (r *Relay) relayUp(payload []byte) error {
 	r.upMu.Lock()
 	defer r.upMu.Unlock()
@@ -298,34 +154,13 @@ func (r *Relay) relayUp(payload []byte) error {
 	return r.upErr // surfaces a parent write error from a mid-frame ship
 }
 
-// bufferUpLocked appends one surviving message to its shard's upstream
-// frame, shipping the frame first when the message would overflow it.
-// Caller holds upMu.
+// bufferUpLocked frames one surviving message for the parent. A write
+// error goes sticky in upErr: the parent link is unusable, and the
+// parent loop's teardown will cascade. Caller holds upMu.
 func (r *Relay) bufferUpLocked(p int, m core.Message) {
-	if len(r.frames[p])+wire.MessageSize > wire.MaxFrameSize {
-		r.shipFrameLocked(p)
+	if err := r.up.Add(p, m); err != nil && r.upErr == nil {
+		r.upErr = err
 	}
-	if len(r.frames[p]) == 0 && r.tagged {
-		r.frames[p] = wire.AppendShardHeader(r.frames[p], p)
-	}
-	r.frames[p] = wire.AppendMessage(r.frames[p], m)
-}
-
-// shipFrameLocked writes shard p's frame under construction to the
-// buffered parent writer. A write error goes sticky in upErr: the
-// parent link is unusable, and the parent loop's teardown will cascade.
-// Caller holds upMu.
-func (r *Relay) shipFrameLocked(p int) {
-	if len(r.frames[p]) == 0 {
-		return
-	}
-	if r.upErr == nil {
-		//wrslint:allow nolockio upMu is the dedicated parent-writer mutex: it guards pw itself and is never held while taking connsMu
-		if err := wire.WriteFrame(r.pw, r.frames[p]); err != nil {
-			r.upErr = err
-		}
-	}
-	r.frames[p] = r.frames[p][:0]
 }
 
 // forwardPing handles a child's flow-control ping: atomically ship
@@ -336,31 +171,17 @@ func (r *Relay) shipFrameLocked(p int) {
 // before the ping — this child's data included — has been processed
 // upstream, and every broadcast that processing triggered has already
 // been fanned to the child's outbox ahead of the pong.
-func (r *Relay) forwardPing(ch *child) error {
+func (r *Relay) forwardPing(pr *transport.Peer) error {
 	r.upMu.Lock()
 	defer r.upMu.Unlock()
 	if r.upErr != nil {
 		return r.upErr
 	}
-	for p := range r.frames {
-		r.shipFrameLocked(p)
+	if err := r.up.Ping(); err != nil {
+		r.upErr = err
+		return err
 	}
-	if r.upErr == nil {
-		//wrslint:allow nolockio upMu is the dedicated parent-writer mutex: the ping write/flush is the serialized operation itself
-		if err := wire.WriteFrame(r.pw, pingPayload); err != nil {
-			r.upErr = err
-		}
-	}
-	if r.upErr == nil {
-		//wrslint:allow nolockio upMu is the dedicated parent-writer mutex: the ping write/flush is the serialized operation itself
-		if err := r.pw.Flush(); err != nil {
-			r.upErr = err
-		}
-	}
-	if r.upErr != nil {
-		return r.upErr
-	}
-	r.pingQ = append(r.pingQ, ch)
+	r.pingQ = append(r.pingQ, pr)
 	return nil
 }
 
@@ -373,48 +194,41 @@ func (r *Relay) SeverParent() error { return r.parent.Close() }
 
 // parentLoop reads the upstream connection: pongs are routed to the
 // child whose ping they answer (FIFO), broadcast frames update the
-// filter machines and fan down to every child. When the parent link
-// dies the relay closes itself, cascading to all children.
+// filter machines and fan down to every child. Both run on this one
+// goroutine, so a pong is queued to its child behind every broadcast
+// that arrived before it. When the parent link dies the relay tears
+// itself down, cascading to all children.
 func (r *Relay) parentLoop() {
-	br := bufio.NewReaderSize(r.parent, 64*1024)
-	var buf []byte
-	for {
-		payload, err := wire.ReadFrame(br, buf)
-		if err != nil {
-			break
-		}
-		buf = payload
+	defer close(r.parentDone)
+	wire.ReadFrames(bufio.NewReaderSize(r.parent, 64*1024), func(payload []byte) error {
 		if wire.IsPong(payload) {
 			r.routePong()
-			continue
+			return nil
 		}
-		if err := r.relayDown(payload); err != nil {
-			break
-		}
-	}
-	close(r.parentDone)
-	r.Close()
+		return r.relayDown(payload)
+	})
+	r.teardown()
 }
 
-// routePong answers the oldest outstanding forwarded ping. Pop and
-// delivery happen under upMu so the teardown's dead flag is respected.
+// routePong answers the oldest outstanding forwarded ping. A child torn
+// down in the meantime refuses the pong (Peer.Send).
 func (r *Relay) routePong() {
 	r.upMu.Lock()
-	var ch *child
+	var pr *transport.Peer
 	if len(r.pingQ) > 0 {
-		ch = r.pingQ[0]
+		pr = r.pingQ[0]
 		r.pingQ = r.pingQ[1:]
 	}
-	if ch != nil && !ch.dead {
-		ch.outbox.Put(pongPayload)
-	}
 	r.upMu.Unlock()
+	if pr != nil {
+		pr.Send(wire.PongPayload)
+	}
 }
 
 // relayDown applies one parent broadcast frame to the filter machines
 // and fans it verbatim to every child. The machine update (upMu) and
-// the fan-out (connsMu) take their locks strictly in sequence, never
-// nested.
+// the fan-out (the downlink's registry) take their locks strictly in
+// sequence, never nested.
 func (r *Relay) relayDown(payload []byte) error {
 	r.upMu.Lock()
 	msgs, words, err := ProcessDownFrame(r.machines, payload)
@@ -422,18 +236,8 @@ func (r *Relay) relayDown(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	cp := append([]byte(nil), payload...) // the read buffer is reused; children share one copy
-	var fanned int64
-	r.connsMu.Lock()
-	for _, ch := range r.children {
-		ch.outbox.Put(cp)
-		fanned++
-	}
-	r.connsMu.Unlock()
-	if fanned > 0 {
-		r.downMsgs.Add(msgs * fanned)
-		r.downWords.Add(words * fanned)
-	}
+	// The read buffer is reused; children share one copy.
+	r.down.Broadcast(append([]byte(nil), payload...), msgs, words)
 	return nil
 }
 
@@ -472,39 +276,28 @@ func (r *Relay) Threshold(p int) float64 {
 // DownMessages returns broadcast messages delivered to children
 // (per-child, join snapshots included) — the paper's downstream
 // accounting for the edge this relay owns.
-func (r *Relay) DownMessages() int64 { return r.downMsgs.Load() }
+func (r *Relay) DownMessages() int64 { return r.down.Messages() }
 
 // DownWords returns the machine words of that broadcast traffic.
-func (r *Relay) DownWords() int64 { return r.downWords.Load() }
+func (r *Relay) DownWords() int64 { return r.down.Words() }
 
 // Children returns the number of connected children (diagnostics).
-func (r *Relay) Children() int {
-	r.connsMu.Lock()
-	defer r.connsMu.Unlock()
-	return len(r.children)
+func (r *Relay) Children() int { return r.down.Peers() }
+
+// teardown closes the parent link first — unblocking any child handler
+// stuck writing upstream — then the listener and every child.
+func (r *Relay) teardown() error {
+	r.parent.Close()
+	return r.down.Close()
 }
 
-// Close tears the relay down: the listener, every child connection, and
-// the parent connection. It is idempotent; the parent loop also calls
-// it when the upstream link dies, so a broken parent cascades to the
-// children instead of leaving them hanging.
+// Close tears the relay down: the parent connection, the listener, and
+// every child connection. It is idempotent; the parent loop also tears
+// down when the upstream link dies, so a broken parent cascades to the
+// children instead of leaving them hanging. Close returns once every
+// goroutine of the relay has exited.
 func (r *Relay) Close() error {
-	if !r.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	r.connsMu.Lock()
-	ln := r.ln
-	conns := make([]net.Conn, 0, len(r.children))
-	for c := range r.children {
-		conns = append(conns, c)
-	}
-	r.connsMu.Unlock()
-	err := ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	r.parent.Close()
-	r.wg.Wait()
+	err := r.teardown()
 	<-r.parentDone
 	return err
 }

@@ -2,15 +2,67 @@ package relay
 
 import (
 	"errors"
-	"fmt"
-	"net"
-	"sync"
 
 	"wrs/internal/core"
 	"wrs/internal/netsim"
-	"wrs/internal/stream"
 	"wrs/internal/transport"
 )
+
+// tiers is a relay tree under one coordinator address: depth tiers of
+// the given fanout, tier 0 attached to the server, leaf i%len(leaves)
+// serving site (or bench connection) i — round-robin, seed-independent.
+type tiers struct {
+	cfg                   core.Config
+	shards, fanout, depth int
+	opts                  Options
+	nodes                 [][]*Relay
+}
+
+// dial builds the tiers beneath serverAddr and returns each site's leaf
+// address and the teardown (leaves first): the shape of
+// transport.IngestBenchOpts.TreeDial and transport.NewShardedClusterVia.
+// Depth 0 builds nothing and routes every site to the server. On error
+// everything already started is torn down.
+func (t *tiers) dial(serverAddr string) (func(site int) string, func() error, error) {
+	if err := netsim.ValidateTree(t.fanout, t.depth); err != nil {
+		return nil, nil, err
+	}
+	t.nodes = make([][]*Relay, t.depth)
+	for tier, n := range netsim.TreeTierSizes(t.cfg.K, t.fanout, t.depth) {
+		t.nodes[tier] = make([]*Relay, n)
+		for node := range t.nodes[tier] {
+			parentAddr := serverAddr
+			if tier > 0 {
+				parents := t.nodes[tier-1]
+				parentAddr = parents[node%len(parents)].Addr()
+			}
+			r, err := New(t.cfg, t.shards, parentAddr, "", t.opts)
+			if err != nil {
+				t.close()
+				return nil, nil, err
+			}
+			t.nodes[tier][node] = r
+		}
+	}
+	if t.depth == 0 {
+		return func(int) string { return serverAddr }, t.close, nil
+	}
+	leaves := t.nodes[t.depth-1]
+	return func(site int) string { return leaves[site%len(leaves)].Addr() }, t.close, nil
+}
+
+// close tears the tiers down from the leaves up.
+func (t *tiers) close() error {
+	var errs []error
+	for tier := len(t.nodes) - 1; tier >= 0; tier-- {
+		for _, r := range t.nodes[tier] {
+			if r != nil {
+				errs = append(errs, r.Close())
+			}
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // IngestTier adapts the relay fabric to transport.IngestBenchOpts
 // .TreeDial: it returns a hook that builds depth tiers of the given
@@ -20,39 +72,8 @@ import (
 // machines size their top-s from cfg.S).
 func IngestTier(cfg core.Config, shards, fanout, depth int, opts Options) func(serverAddr string) (func(conn int) string, func() error, error) {
 	return func(serverAddr string) (func(conn int) string, func() error, error) {
-		if err := netsim.ValidateTree(fanout, depth); err != nil {
-			return nil, nil, err
-		}
-		sizes := netsim.TreeTierSizes(cfg.K, fanout, depth)
-		tiers := make([][]*Relay, depth)
-		teardown := func() error {
-			var errs []error
-			for t := len(tiers) - 1; t >= 0; t-- {
-				for _, r := range tiers[t] {
-					if r != nil {
-						errs = append(errs, r.Close())
-					}
-				}
-			}
-			return errors.Join(errs...)
-		}
-		for t, n := range sizes {
-			tiers[t] = make([]*Relay, n)
-			for node := range tiers[t] {
-				parentAddr := serverAddr
-				if t > 0 {
-					parentAddr = tiers[t-1][node%len(tiers[t-1])].Addr()
-				}
-				r, err := New(cfg, shards, parentAddr, "", opts)
-				if err != nil {
-					teardown()
-					return nil, nil, err
-				}
-				tiers[t][node] = r
-			}
-		}
-		leaves := tiers[depth-1]
-		return func(conn int) string { return leaves[conn%len(leaves)].Addr() }, teardown, nil
+		t := &tiers{cfg: cfg, shards: shards, fanout: fanout, depth: depth, opts: opts}
+		return t.dial(serverAddr)
 	}
 }
 
@@ -66,25 +87,23 @@ type TierStats struct {
 }
 
 // TreeCluster is the deployment-shaped runtime over a hierarchical
-// relay tree: one CoordinatorServer hosting all protocol shards, depth
-// tiers of Relay nodes, and one SiteClient per site attached to a leaf
-// relay. The root terminates min(fanout, k) connections instead of k;
-// every tier pre-filters upstream candidates and fans broadcasts down.
-// Depth 0 degenerates to the flat transport.Cluster topology (no
-// relays, sites dial the server directly).
+// relay tree: a transport.Cluster — one CoordinatorServer hosting all
+// protocol shards, one SiteClient per site — whose sites dial leaf
+// relays of depth tiers instead of the server. The root terminates
+// min(fanout, k) connections instead of k; every tier pre-filters
+// upstream candidates and fans broadcasts down. Depth 0 degenerates to
+// the flat topology (no relays, sites dial the server directly).
 //
-// The driving surface matches transport.Cluster — Feed, FeedBatch,
-// Flush, Do/DoShard, Stats, Server().Query() — so every application
-// runs over the tree unchanged.
+// The driving surface is transport.Cluster's — Feed, FeedBatch, Flush,
+// Do/DoShard, Server().Query(), Close — so every application runs over
+// the tree unchanged. A site's Flush round-trips through its whole
+// relay chain: each relay on the path ships its buffered frames before
+// forwarding the ping, and the pong comes back only after the
+// coordinator has processed everything and every triggered broadcast
+// has been queued ahead of it at each tier.
 type TreeCluster struct {
-	cfg     core.Config
-	shards  int
-	fanout  int
-	depth   int
-	srv     *transport.CoordinatorServer
-	ln      net.Listener
-	tiers   [][]*Relay
-	clients []*transport.SiteClient
+	*transport.Cluster
+	tiers *tiers
 }
 
 // NewTreeCluster starts a coordinator server hosting len(protos)
@@ -97,119 +116,36 @@ type TreeCluster struct {
 // UnionTopSMergeable marker; the threshold pre-filter is always on. On
 // error everything already started is torn down.
 func NewTreeCluster(cfg core.Config, protos []transport.Coordinator, machines [][]netsim.Site[core.Message], addr string, fanout, depth int, opts Options) (*TreeCluster, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := netsim.ValidateTree(fanout, depth); err != nil {
-		return nil, err
-	}
-	if len(machines) != len(protos) {
-		return nil, fmt.Errorf("relay: %d shard site slices for %d shard coordinators", len(machines), len(protos))
-	}
-	for p := range machines {
-		if len(machines[p]) != cfg.K {
-			return nil, fmt.Errorf("relay: shard %d has %d site machines for k=%d", p, len(machines[p]), cfg.K)
-		}
-	}
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	srv, err := transport.NewShardedCoordinatorServer(cfg, protos)
+	t := &tiers{cfg: cfg, shards: len(protos), fanout: fanout, depth: depth, opts: opts}
+	cl, err := transport.NewShardedClusterVia(cfg, protos, machines, addr, t.dial)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	go srv.Serve(ln)
-	c := &TreeCluster{
-		cfg:     cfg,
-		shards:  len(protos),
-		fanout:  fanout,
-		depth:   depth,
-		srv:     srv,
-		ln:      ln,
-		clients: make([]*transport.SiteClient, cfg.K),
-	}
-	sizes := netsim.TreeTierSizes(cfg.K, fanout, depth)
-	c.tiers = make([][]*Relay, depth)
-	for t, n := range sizes {
-		c.tiers[t] = make([]*Relay, n)
-		for node := range c.tiers[t] {
-			parentAddr := ln.Addr().String()
-			if t > 0 {
-				parentAddr = c.tiers[t-1][node%len(c.tiers[t-1])].Addr()
-			}
-			r, err := New(cfg, len(protos), parentAddr, "", opts)
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			c.tiers[t][node] = r
-		}
-	}
-	for i := 0; i < cfg.K; i++ {
-		leafAddr := ln.Addr().String()
-		if depth > 0 {
-			leaves := c.tiers[depth-1]
-			leafAddr = leaves[i%len(leaves)].Addr()
-		}
-		perSite := make([]netsim.Site[core.Message], len(protos))
-		for p := range protos {
-			perSite[p] = machines[p][i]
-		}
-		conn, err := net.Dial("tcp", leafAddr)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		cl, err := transport.NewShardedSiteClient(conn, perSite, cfg)
-		if err != nil {
-			conn.Close()
-			c.Close()
-			return nil, err
-		}
-		c.clients[i] = cl
-	}
-	return c, nil
+	return &TreeCluster{Cluster: cl, tiers: t}, nil
 }
 
-// Addr returns the coordinator's listen address.
-func (c *TreeCluster) Addr() string { return c.ln.Addr().String() }
-
-// Server returns the coordinator server (diagnostics and queries).
-func (c *TreeCluster) Server() *transport.CoordinatorServer { return c.srv }
-
-// Client returns the site client for siteID (diagnostics).
-func (c *TreeCluster) Client(siteID int) *transport.SiteClient { return c.clients[siteID] }
-
-// Shards returns the number of protocol shards the cluster runs.
-func (c *TreeCluster) Shards() int { return c.shards }
-
 // Depth returns the number of relay tiers.
-func (c *TreeCluster) Depth() int { return c.depth }
+func (c *TreeCluster) Depth() int { return c.tiers.depth }
 
 // RootConns returns how many connections the coordinator terminates:
 // the top relay tier's node count, or k for the flat topology. This is
 // the quantity the tree exists to shrink.
 func (c *TreeCluster) RootConns() int {
-	if c.depth == 0 {
-		return c.cfg.K
+	if c.tiers.depth == 0 {
+		return c.tiers.cfg.K
 	}
-	return len(c.tiers[0])
+	return len(c.tiers.nodes[0])
 }
 
 // RootUpstream returns the messages forwarded to the coordinator by the
 // top relay tier — the root edge's traffic. For the flat topology it
 // equals the site edge, Stats().Upstream.
 func (c *TreeCluster) RootUpstream() int64 {
-	if c.depth == 0 {
+	if c.tiers.depth == 0 {
 		return c.Stats().Upstream
 	}
 	var n int64
-	for _, r := range c.tiers[0] {
+	for _, r := range c.tiers.nodes[0] {
 		n += r.Forwarded()
 	}
 	return n
@@ -218,8 +154,8 @@ func (c *TreeCluster) RootUpstream() int64 {
 // TierStats returns per-tier traffic accounting, tier 0 (the root's
 // children) first. Empty for the flat topology.
 func (c *TreeCluster) TierStats() []TierStats {
-	out := make([]TierStats, len(c.tiers))
-	for t, tier := range c.tiers {
+	out := make([]TierStats, len(c.tiers.nodes))
+	for t, tier := range c.tiers.nodes {
 		st := TierStats{Nodes: len(tier)}
 		for _, r := range tier {
 			st.Forwarded += r.Forwarded()
@@ -232,60 +168,6 @@ func (c *TreeCluster) TierStats() []TierStats {
 	return out
 }
 
-func (c *TreeCluster) checkSite(siteID int) error {
-	if siteID < 0 || siteID >= len(c.clients) {
-		return fmt.Errorf("relay: site %d out of range [0,%d)", siteID, len(c.clients))
-	}
-	return nil
-}
-
-// Feed delivers one arrival to a site over its leaf connection.
-func (c *TreeCluster) Feed(siteID int, it stream.Item) error {
-	if err := c.checkSite(siteID); err != nil {
-		return err
-	}
-	return c.clients[siteID].Observe(it)
-}
-
-// FeedBatch delivers a slice of arrivals to a site, coalesced into
-// per-shard multi-message frames (the high-throughput path).
-func (c *TreeCluster) FeedBatch(siteID int, items []stream.Item) error {
-	if err := c.checkSite(siteID); err != nil {
-		return err
-	}
-	return c.clients[siteID].ObserveBatch(items)
-}
-
-// Flush round-trips every site connection through its whole relay
-// chain: a site's ping forces each relay on the path to ship its
-// buffered frames before forwarding, and the pong comes back only after
-// the coordinator has processed everything and every triggered
-// broadcast has been queued ahead of it at each tier. When Flush
-// returns, the coordinator has seen every message fed so far and every
-// site has applied the resulting broadcasts.
-func (c *TreeCluster) Flush() error {
-	errs := make([]error, len(c.clients))
-	var wg sync.WaitGroup
-	for i, cl := range c.clients {
-		if cl == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, cl *transport.SiteClient) {
-			defer wg.Done()
-			errs[i] = cl.Flush()
-		}(i, cl)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// Do runs fn while holding every shard's ingest lock.
-func (c *TreeCluster) Do(fn func()) { c.srv.Do(fn) }
-
-// DoShard runs fn while holding only shard p's ingest lock.
-func (c *TreeCluster) DoShard(p int, fn func()) { c.srv.DoShard(p, fn) }
-
 // Stats returns cumulative protocol traffic in the paper's accounting,
 // measured at the site edge so trees and the flat topology compare
 // directly: upstream counts messages sites put on the wire, downstream
@@ -294,54 +176,14 @@ func (c *TreeCluster) DoShard(p int, fn func()) { c.srv.DoShard(p, fn) }
 // are excluded. The root edge — what relay filtering saved — is
 // RootUpstream and TierStats.
 func (c *TreeCluster) Stats() netsim.Stats {
-	var s netsim.Stats
-	for _, cl := range c.clients {
-		if cl == nil {
-			continue
-		}
-		s.Upstream += cl.Sent()
-		s.UpWords += cl.SentWords()
-	}
-	if c.depth == 0 {
-		s.Downstream = c.srv.BroadcastsSent()
-		s.DownWords = c.srv.BroadcastWords()
+	s := c.Cluster.Stats()
+	if c.tiers.depth == 0 {
 		return s
 	}
-	for _, r := range c.tiers[c.depth-1] {
-		if r == nil {
-			continue
-		}
+	s.Downstream, s.DownWords = 0, 0
+	for _, r := range c.tiers.nodes[c.tiers.depth-1] {
 		s.Downstream += r.DownMessages()
 		s.DownWords += r.DownWords()
 	}
 	return s
-}
-
-// Close tears down every site connection, every relay tier from the
-// leaves up, and the server. It does not flush; call Flush first for a
-// graceful shutdown with delivery guaranteed.
-func (c *TreeCluster) Close() error {
-	var errs []error
-	for _, cl := range c.clients {
-		if cl == nil {
-			continue
-		}
-		if err := cl.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	for t := len(c.tiers) - 1; t >= 0; t-- {
-		for _, r := range c.tiers[t] {
-			if r == nil {
-				continue
-			}
-			if err := r.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	if err := c.srv.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
 }

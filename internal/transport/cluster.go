@@ -25,11 +25,12 @@ import (
 // goroutines (one feeder per site is the intended deployment shape);
 // calls for the same site must not be concurrent, matching SiteClient.
 type Cluster struct {
-	cfg     core.Config
-	shards  int
-	srv     *CoordinatorServer
-	ln      net.Listener
-	clients []*SiteClient
+	cfg      core.Config
+	shards   int
+	srv      *CoordinatorServer
+	ln       net.Listener
+	clients  []*SiteClient
+	teardown func() error // the aggregation tier's, or nil
 }
 
 // NewCluster starts a coordinator server for coord on addr
@@ -45,6 +46,16 @@ func NewCluster(cfg core.Config, coord Coordinator, sites []netsim.Site[core.Mes
 // machine for shard p. On error everything already started is torn
 // down.
 func NewShardedCluster(cfg core.Config, protos []Coordinator, machines [][]netsim.Site[core.Message], addr string) (*Cluster, error) {
+	return NewShardedClusterVia(cfg, protos, machines, addr, nil)
+}
+
+// NewShardedClusterVia is NewShardedCluster with the sites attached
+// through an aggregation tier (package relay) instead of straight to the
+// server. tier has the shape of IngestBenchOpts.TreeDial: it receives
+// the server address, builds the tier, and returns site i's dial
+// address plus a teardown, which Close runs after closing the sites and
+// before closing the server. A nil tier dials the server directly.
+func NewShardedClusterVia(cfg core.Config, protos []Coordinator, machines [][]netsim.Site[core.Message], addr string, tier func(serverAddr string) (dialAddr func(site int) string, teardown func() error, err error)) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,12 +80,19 @@ func NewShardedCluster(cfg core.Config, protos []Coordinator, machines [][]netsi
 	}
 	go srv.Serve(ln)
 	c := &Cluster{cfg: cfg, shards: len(protos), srv: srv, ln: ln, clients: make([]*SiteClient, cfg.K)}
+	dialAddr := func(int) string { return ln.Addr().String() }
+	if tier != nil {
+		if dialAddr, c.teardown, err = tier(ln.Addr().String()); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
 	for i := 0; i < cfg.K; i++ {
 		perSite := make([]netsim.Site[core.Message], len(protos))
 		for p := range protos {
 			perSite[p] = machines[p][i]
 		}
-		conn, err := net.Dial("tcp", ln.Addr().String())
+		conn, err := net.Dial("tcp", dialAddr(i))
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -172,9 +190,9 @@ func (c *Cluster) Stats() netsim.Stats {
 	return s
 }
 
-// Close tears down every site connection and the server. It does not
-// flush; call Flush first for a graceful shutdown with delivery
-// guaranteed.
+// Close tears down every site connection, then the aggregation tier if
+// there is one, then the server. It does not flush; call Flush first
+// for a graceful shutdown with delivery guaranteed.
 func (c *Cluster) Close() error {
 	var errs []error
 	for _, cl := range c.clients {
@@ -182,6 +200,11 @@ func (c *Cluster) Close() error {
 			continue
 		}
 		if err := cl.Close(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if c.teardown != nil {
+		if err := c.teardown(); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -47,10 +47,7 @@ func TestSiteCrashDoesNotCorruptOthers(t *testing.T) {
 	// Give the server a moment to reap the connection.
 	deadlineAt := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadlineAt) {
-		srv.connsMu.Lock()
-		n := len(srv.conns)
-		srv.connsMu.Unlock()
-		if n == 2 {
+		if srv.down.Peers() == 2 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -52,7 +52,7 @@ func (f *fakeCoordinator) nextFrames(t *testing.T, n int) (int, bool) {
 			if !ok {
 				t.Fatal("fake coordinator connection closed early")
 			}
-			if len(p) == 1 && p[0] == pingPayload[0] {
+			if wire.IsPing(p) {
 				return msgs, true
 			}
 			if len(p)%wire.MessageSize != 0 {
@@ -68,7 +68,7 @@ func (f *fakeCoordinator) nextFrames(t *testing.T, n int) (int, bool) {
 
 func (f *fakeCoordinator) pong(t *testing.T) {
 	t.Helper()
-	if err := wire.WriteFrame(f.conn, pongPayload); err != nil {
+	if err := wire.WriteFrame(f.conn, wire.PongPayload); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -144,7 +144,7 @@ func (b *benchConn) send(payload []byte) error {
 // the pong; when it returns the server has processed everything this
 // connection sent.
 func (b *benchConn) sync() error {
-	if err := wire.WriteFrame(b.bw, pingPayload); err != nil {
+	if err := wire.WriteFrame(b.bw, wire.PingPayload); err != nil {
 		return err
 	}
 	if err := b.bw.Flush(); err != nil {
@@ -157,7 +157,7 @@ func (b *benchConn) sync() error {
 			return err
 		}
 		buf = payload
-		if len(payload) == 1 && payload[0] == pongPayload[0] {
+		if wire.IsPong(payload) {
 			return nil
 		}
 	}

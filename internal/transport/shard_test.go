@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"wrs/internal/core"
 	"wrs/internal/netsim"
@@ -244,5 +245,68 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 	st := cluster.Stats()
 	if st.Upstream == 0 || st.Upstream > 3003/2 {
 		t.Errorf("upstream %d: want nonzero and sublinear", st.Upstream)
+	}
+}
+
+// TestShardedClientRejectsBadBroadcast is the site-side row set of the
+// shared resolver's contract (wire.TestResolveShard), next to the
+// server's TestShardedServerRejects* and the relay's
+// TestProcessFramesMalformed: a sharded client refuses a broadcast it
+// cannot place — an untagged frame, or a shard it does not drive — by
+// ending its read loop, and never applies it to shard 0. The valid row
+// is the control that the client does apply what it can place.
+func TestShardedClientRejectsBadBroadcast(t *testing.T) {
+	cfg := core.Config{K: 1, S: 4}
+	bcast := core.Message{Kind: core.MsgEpochUpdate, Threshold: 7}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		applied int // shard that must apply the broadcast; -1: rejected
+	}{
+		{"tagged for shard 1", wire.AppendMessage(wire.AppendShardHeader(nil, 1), bcast), 1},
+		{"untagged", wire.AppendMessage(nil, bcast), -1},
+		{"tagged beyond the client's shards", wire.AppendMessage(wire.AppendShardHeader(nil, 2), bcast), -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			defer srv.Close()
+			master := xrand.New(61)
+			sites := []*core.Site{core.NewSite(0, cfg, master.Split()), core.NewSite(0, cfg, master.Split())}
+			c, err := NewShardedSiteClient(cli, []netsim.Site[core.Message]{sites[0], sites[1]}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := wire.WriteFrame(srv, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			if tc.applied < 0 {
+				select {
+				case <-c.readerDone:
+				case <-time.After(2 * time.Second):
+					t.Fatal("read loop kept running after an unplaceable broadcast")
+				}
+				if c.readerErr == nil {
+					t.Error("read loop ended without an error")
+				}
+			}
+			for deadline := time.Now().Add(2 * time.Second); tc.applied >= 0 && sites[tc.applied].Threshold() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatalf("shard %d never applied its broadcast", tc.applied)
+				}
+				c.drainPending()
+				time.Sleep(time.Millisecond)
+			}
+			c.drainPending()
+			for p, s := range sites {
+				if got, want := s.Threshold(), 0.0; p == tc.applied {
+					if got != bcast.Threshold {
+						t.Errorf("shard %d threshold %g, want %g", p, got, bcast.Threshold)
+					}
+				} else if got != want {
+					t.Errorf("shard %d applied a broadcast not meant for it: threshold %g", p, got)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,8 @@
 // binary framing of package wire. It is the deployment-shaped runtime:
 // one CoordinatorServer, k SiteClients, FIFO per connection, broadcasts
 // fanned out through per-connection writer queues so a slow site never
-// blocks the coordinator.
+// blocks the coordinator. Both ends of every connection are the link
+// layer (Downlink, Uplink), which package relay shares.
 //
 // Asynchrony has the same consequences as in the goroutine runtime (see
 // DESIGN.md): stale thresholds and late early-messages cost extra
@@ -43,12 +44,6 @@ import (
 	"wrs/internal/xrand"
 )
 
-// Control frame payloads (distinct from 29-byte protocol messages).
-var (
-	pingPayload = []byte{wire.PingByte}
-	pongPayload = []byte{wire.PongByte}
-)
-
 // Coordinator is the coordinator-side protocol a server can host: the
 // plain sampler coordinator, or an application wrapper around it (the
 // L1 tracker's DupCoordinator). Core exposes the inner sampler state
@@ -67,18 +62,22 @@ type prefilterable interface {
 }
 
 // shardState is one hosted protocol shard: its state machine, the
-// mutex serializing its ingest, and the atomically-published drop
-// bound its pre-filtering runs against.
+// mutex serializing its ingest, the atomically-published drop bound its
+// pre-filtering runs against, and its broadcast callback.
 type shardState struct {
 	mu       sync.Mutex
 	proto    Coordinator
 	coord    *core.Coordinator
 	dropper  prefilterable // nil: never pre-filter
 	dropBits atomic.Uint64 // Float64bits of the published drop bound
+	bcast    func(core.Message)
 }
 
 // CoordinatorServer hosts the coordinator side of one or more protocol
-// shards.
+// shards. It is the downlink role of the link layer (Downlink): the
+// connection plumbing is shared with relay.Relay, and the server adds
+// only its per-frame handler (pre-filter, then the shard mutex) and its
+// per-shard join snapshot (saturated levels and epoch threshold).
 //
 // Ingest path: connection handlers decode incoming frames and
 // pre-filter below-threshold MsgRegular messages *outside* the shard
@@ -92,25 +91,17 @@ type shardState struct {
 // pre-filter, and across shards via the per-shard mutexes
 // (BenchmarkTCPParallelIngest).
 //
-// Lock order: a shard mutex may be held while taking connsMu (the
-// broadcast fan-out path); connsMu is never held while taking a shard
-// mutex.
+// Lock order: a shard mutex may be held while taking the downlink's
+// peersMu (the broadcast fan-out path); peersMu is never held while
+// taking a shard mutex.
 type CoordinatorServer struct {
 	cfg    core.Config
 	shards []*shardState
+	down   *Downlink
 
-	connsMu sync.Mutex // guards conns and ln
-	conns   map[net.Conn]*netsim.Mailbox[[]byte]
-	ln      net.Listener
-
+	processed atomic.Int64
 	prefilter atomic.Int64 // messages dropped before a shard mutex
 	serial    atomic.Bool  // pre-refactor decode-under-lock path (benchmarks)
-
-	wg         sync.WaitGroup
-	closed     atomic.Bool
-	processed  atomic.Int64
-	bcasts     atomic.Int64
-	bcastWords atomic.Int64
 }
 
 // NewCoordinatorServer builds a server hosting a fresh single-shard
@@ -140,13 +131,10 @@ func NewShardedCoordinatorServer(cfg core.Config, protos []Coordinator) (*Coordi
 	if err := fabric.Validate(len(protos)); err != nil {
 		return nil, err
 	}
-	s := &CoordinatorServer{
-		cfg:    cfg,
-		shards: make([]*shardState, len(protos)),
-		conns:  make(map[net.Conn]*netsim.Mailbox[[]byte]),
-	}
+	s := &CoordinatorServer{cfg: cfg, shards: make([]*shardState, len(protos))}
+	s.down = NewDownlink(len(protos), s.joinSnapshot, s.handler)
 	for p, proto := range protos {
-		sh := &shardState{proto: proto, coord: proto.Core()}
+		sh := &shardState{proto: proto, coord: proto.Core(), bcast: s.broadcaster(p)}
 		sh.dropper, _ = proto.(prefilterable)
 		s.shards[p] = sh
 	}
@@ -156,147 +144,25 @@ func NewShardedCoordinatorServer(cfg core.Config, protos []Coordinator) (*Coordi
 // Shards returns the number of hosted protocol shards.
 func (s *CoordinatorServer) Shards() int { return len(s.shards) }
 
-// sharded reports whether frames must carry shard tags.
-func (s *CoordinatorServer) sharded() bool { return len(s.shards) > 1 }
-
 // Serve accepts site connections on ln until Close is called. It blocks;
-// run it in a goroutine.
-func (s *CoordinatorServer) Serve(ln net.Listener) error {
-	s.connsMu.Lock()
-	s.ln = ln
-	s.connsMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.closed.Load() {
-				return nil
-			}
-			return err
-		}
-		// The Add and the closed check happen under the same mutex
-		// section Close uses, so either Close sees this handler's
-		// registration or this loop sees the closed flag — and wg.Add is
-		// always ordered before wg.Wait.
-		s.connsMu.Lock()
-		if s.closed.Load() {
-			s.connsMu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.wg.Add(1)
-		s.connsMu.Unlock()
-		go s.handleConn(conn)
-	}
-}
+// run it in a goroutine. Serve after Close closes ln and returns nil.
+func (s *CoordinatorServer) Serve(ln net.Listener) error { return s.down.Serve(ln) }
 
-func (s *CoordinatorServer) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	outbox := netsim.NewMailbox[[]byte]()
-	s.connsMu.Lock()
-	s.conns[conn] = outbox
-	s.connsMu.Unlock()
-	// Catch-up snapshot: a client starts observing as soon as the TCP
-	// handshake completes, which can be long before this registration —
-	// every broadcast issued in between would otherwise be lost to this
-	// connection forever (broadcasts are not replayed), leaving the
-	// site filtering with threshold 0 and unsaturated levels for the
-	// whole run: the O(n) regression. The snapshot is taken per shard
-	// under that shard's ingest mutex, *after* the registration above: a
-	// broadcast racing the snapshot is then delivered through the outbox
-	// too, possibly ahead of the snapshot that already reflects it —
-	// harmless, because broadcasts are monotone (saturation flags only
-	// set, thresholds only rise), so replay and reordering never move a
-	// site's view backwards.
-	for p := range s.shards {
-		sh := s.shards[p]
-		sh.mu.Lock()
-		snap := s.joinSnapshot(p)
-		sh.mu.Unlock()
-		if len(snap) > 0 {
-			outbox.Put(snap)
-			// The snapshot frame replays several broadcast messages; count
-			// each so Downstream and DownWords stay message-consistent.
-			body := len(snap)
-			if s.sharded() {
-				body -= wire.ShardHeaderSize
-			}
-			s.bcasts.Add(int64(body / wire.MessageSize))
-		}
-	}
-	// Close may have snapshotted the connection map before this
-	// registration; re-checking after registering guarantees that every
-	// interleaving either lets Close see the connection or lets this
-	// goroutine see the closed flag — otherwise Close's wg.Wait() could
-	// hang on a connection nobody tears down.
-	if s.closed.Load() {
-		s.connsMu.Lock()
-		delete(s.conns, conn)
-		s.connsMu.Unlock()
-		outbox.Close()
-		conn.Close()
-		return
-	}
-
-	// Writer: drains the outbox so broadcasts never block the reader.
-	// Flush policy: coalesce every queued frame into one buffered write,
-	// flush before blocking on an empty outbox — no frame is ever held
-	// back, and a burst of broadcasts costs one syscall, not one each.
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriter(conn)
-		for {
-			payload, ok := outbox.Get()
-			if !ok {
-				return
-			}
-			for {
-				if err := wire.WriteFrame(bw, payload); err != nil {
-					return
-				}
-				payload, ok = outbox.TryGet()
-				if !ok {
-					break
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-	}()
-
-	br := bufio.NewReaderSize(conn, 64*1024)
-	var buf []byte
+// handler returns the per-frame handler for one site connection. A ping
+// is answered at once: the connection's earlier frames were handled in
+// order on this goroutine, so every broadcast they triggered is already
+// queued ahead of the pong. A batch frame goes to the shard
+// wire.ResolveShard names; any violation drops the connection.
+func (s *CoordinatorServer) handler(pr *Peer) func([]byte) error {
 	var kept []core.Message // surviving messages of the current frame
-	for {
-		payload, err := wire.ReadFrame(br, buf)
+	return func(payload []byte) error {
+		if wire.IsPing(payload) {
+			pr.Send(wire.PongPayload)
+			return nil
+		}
+		shard, msgs, err := wire.ResolveShard(payload, len(s.shards))
 		if err != nil {
-			break
-		}
-		buf = payload
-		if len(payload) == 1 && payload[0] == pingPayload[0] {
-			outbox.Put(append([]byte(nil), pongPayload...))
-			continue
-		}
-		// Resolve the target shard: a shard-tagged frame names it, a
-		// plain batch frame is shard 0 — but only on an unsharded
-		// server. On a sharded one an untagged frame means the client
-		// does not know the shard layout; defaulting it to shard 0
-		// would silently sample the same ID domain in two shards and
-		// corrupt the exact merge, so it is rejected like a bad index.
-		// Every violation drops the connection, never a panic.
-		shard, msgs := 0, payload
-		var perr error
-		if wire.IsShardFrame(payload) {
-			shard, msgs, perr = wire.ParseShardFrame(payload)
-			if perr == nil && shard >= len(s.shards) {
-				perr = fmt.Errorf("transport: frame for shard %d, server hosts %d", shard, len(s.shards))
-			}
-		} else if s.sharded() {
-			perr = fmt.Errorf("transport: untagged batch frame on a %d-shard server", len(s.shards))
-		}
-		if perr != nil {
-			break
+			return err
 		}
 		sh := s.shards[shard]
 		var n, dropped int64
@@ -304,10 +170,9 @@ func (s *CoordinatorServer) handleConn(conn net.Conn) {
 			// Pre-refactor ingest: decode and handle everything under
 			// the shard mutex. Kept for ablation and as the benchmark
 			// baseline (BenchmarkTCPParallelIngest).
-			bcast := s.broadcaster(shard)
 			sh.mu.Lock()
-			perr = wire.ForEachMessage(msgs, func(m core.Message) {
-				sh.proto.HandleMessage(m, bcast)
+			err = wire.ForEachMessage(msgs, func(m core.Message) {
+				sh.proto.HandleMessage(m, sh.bcast)
 				n++
 			})
 			s.publishDropBound(sh)
@@ -319,7 +184,7 @@ func (s *CoordinatorServer) handleConn(conn net.Conn) {
 			// Processed() == Σ Sent() flush invariant is unchanged.
 			drop := math.Float64frombits(sh.dropBits.Load())
 			kept = kept[:0]
-			perr = wire.ForEachMessage(msgs, func(m core.Message) {
+			err = wire.ForEachMessage(msgs, func(m core.Message) {
 				n++
 				if m.Kind == core.MsgRegular && drop > 0 && m.Key <= drop {
 					dropped++
@@ -328,10 +193,9 @@ func (s *CoordinatorServer) handleConn(conn net.Conn) {
 				kept = append(kept, m)
 			})
 			if len(kept) > 0 {
-				bcast := s.broadcaster(shard)
 				sh.mu.Lock()
 				for _, m := range kept {
-					sh.proto.HandleMessage(m, bcast)
+					sh.proto.HandleMessage(m, sh.bcast)
 				}
 				s.publishDropBound(sh)
 				sh.mu.Unlock()
@@ -341,17 +205,8 @@ func (s *CoordinatorServer) handleConn(conn net.Conn) {
 		if dropped > 0 {
 			s.prefilter.Add(dropped)
 		}
-		if perr != nil {
-			break // protocol violation: drop the connection
-		}
+		return err
 	}
-
-	s.connsMu.Lock()
-	delete(s.conns, conn)
-	s.connsMu.Unlock()
-	outbox.Close()
-	<-writerDone
-	conn.Close()
 }
 
 // publishDropBound stores the shard coordinator's current safe-to-drop
@@ -365,48 +220,29 @@ func (s *CoordinatorServer) publishDropBound(sh *shardState) {
 	sh.dropBits.Store(math.Float64bits(sh.dropper.DropBelow()))
 }
 
-// joinSnapshot encodes a shard coordinator's current control-plane
-// state — saturated levels and the epoch threshold — as one batch
-// payload (shard-tagged on a sharded server) for a newly registered
-// connection. Caller holds the shard mutex.
-func (s *CoordinatorServer) joinSnapshot(p int) []byte {
+// joinSnapshot emits shard p's current control-plane state — saturated
+// levels and the epoch threshold — under that shard's ingest mutex, for
+// a newly registered connection (Downlink.join).
+func (s *CoordinatorServer) joinSnapshot(p int, emit func(core.Message)) {
 	sh := s.shards[p]
-	var snap []byte
-	appendMsg := func(m core.Message) {
-		if len(snap) == 0 && s.sharded() {
-			snap = wire.AppendShardHeader(snap, p)
-		}
-		snap = wire.AppendMessage(snap, m)
-		s.bcastWords.Add(int64(m.Words()))
-	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for _, j := range sh.coord.SaturatedLevels() {
-		appendMsg(core.Message{Kind: core.MsgLevelSaturated, Level: j})
+		emit(core.Message{Kind: core.MsgLevelSaturated, Level: j})
 	}
 	if th := sh.coord.CurrentThreshold(); th > 0 {
-		appendMsg(core.Message{Kind: core.MsgEpochUpdate, Threshold: th})
+		emit(core.Message{Kind: core.MsgEpochUpdate, Threshold: th})
 	}
-	return snap
 }
 
 // broadcaster returns the bcast callback for shard p: it fans a
 // coordinator announcement to every connected site, shard-tagged on a
-// sharded server. Called while holding the shard mutex; takes connsMu
-// for the fan-out (the one sanctioned shard-mutex → connsMu edge).
+// sharded server. Called while holding the shard mutex; the fan-out
+// takes the downlink's peersMu (the one sanctioned shard-mutex →
+// peersMu edge).
 func (s *CoordinatorServer) broadcaster(p int) func(core.Message) {
 	return func(m core.Message) {
-		var payload []byte
-		if s.sharded() {
-			payload = wire.AppendShardHeader(payload, p)
-		}
-		payload = wire.AppendMessage(payload, m)
-		words := int64(m.Words())
-		s.connsMu.Lock()
-		for _, box := range s.conns {
-			box.Put(payload)
-			s.bcasts.Add(1)
-			s.bcastWords.Add(words)
-		}
-		s.connsMu.Unlock()
+		s.down.Broadcast(appendFramed(nil, len(s.shards), p, m), 1, int64(m.Words()))
 	}
 }
 
@@ -469,11 +305,11 @@ func (s *CoordinatorServer) SetSerialIngest(on bool) { s.serial.Store(on) }
 
 // BroadcastsSent returns the number of per-site broadcast messages
 // sent (join-snapshot replays included, counted per message).
-func (s *CoordinatorServer) BroadcastsSent() int64 { return s.bcasts.Load() }
+func (s *CoordinatorServer) BroadcastsSent() int64 { return s.down.Messages() }
 
 // BroadcastWords returns the machine words of broadcast traffic sent,
 // counting each per-site delivery separately (paper accounting).
-func (s *CoordinatorServer) BroadcastWords() int64 { return s.bcastWords.Load() }
+func (s *CoordinatorServer) BroadcastWords() int64 { return s.down.Words() }
 
 // Stats returns the coordinator's protocol statistics, merged across
 // shards (counts are additive over independent instances).
@@ -487,26 +323,9 @@ func (s *CoordinatorServer) Stats() core.CoordStats {
 	return fabric.MergeCoordStats(sts)
 }
 
-// Close stops accepting and tears down all connections.
-func (s *CoordinatorServer) Close() error {
-	s.connsMu.Lock()
-	s.closed.Store(true)
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.connsMu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+// Close stops accepting and tears down all connections. It is
+// idempotent.
+func (s *CoordinatorServer) Close() error { return s.down.Close() }
 
 // shardMsg is a decoded downstream announcement tagged with its shard.
 type shardMsg struct {
@@ -514,16 +333,17 @@ type shardMsg struct {
 	m     core.Message
 }
 
-// SiteClient is the site side of the protocol over one connection. On a
-// sharded deployment one client drives all P of its site's shard state
-// machines, routing each arrival by item ID (fabric.ShardOf) and
-// multiplexing every shard's traffic over the single connection with
-// shard-tagged frames.
+// SiteClient is the site side of the protocol over one connection: the
+// uplink role of the link layer (Uplink), plus the reader that queues
+// broadcasts and the bounded-staleness window. On a sharded deployment
+// one client drives all P of its site's shard state machines, routing
+// each arrival by item ID (fabric.ShardOf) and multiplexing every
+// shard's traffic over the single connection with shard-tagged frames.
 //
 // Data plane: Observe/ObserveBatch encode messages into per-shard
-// multi-message frames through a buffered writer, flushing once per
-// call — the 2-syscalls-per-29-byte-message hot path becomes one
-// syscall per call (per ~2000 messages in the batch path). Sent()
+// multi-message frames through the uplink's buffered writer, flushing
+// once per call — the 2-syscalls-per-29-byte-message hot path becomes
+// one syscall per call (per ~2000 messages in the batch path). Sent()
 // counts only messages whose bytes reached the connection: a failed
 // write or flush never inflates the count past what the coordinator can
 // process.
@@ -548,30 +368,26 @@ type shardMsg struct {
 // the broadcast reader runs in the background and synchronizes with
 // them internally.
 type SiteClient struct {
-	mu       sync.Mutex // guards the site state machines
+	// mu guards the site state machines, the uplink they frame their
+	// messages into from inside their callbacks, and the staleness
+	// counters; it is the connection's dedicated writer mutex (Uplink).
+	mu       sync.Mutex
 	machines []netsim.Site[core.Message]
 	site     *core.Site // machines[0] when it is a plain sampler site, else nil
 	conn     net.Conn
-	tagged   bool // len(machines) > 1: frames carry shard tags
-
-	wmu            sync.Mutex // guards bw and the staleness/accounting counters
-	bw             *bufio.Writer
-	unflushed      int64 // messages written but not yet flushed (not in sent)
-	unflushedWords int64
-	stale          int64 // messages sent since the last completed round-trip
-	window         int64 // bounded-staleness window W
+	tagged   bool // len(machines) > 1: arrivals are routed by fabric.ShardOf
+	up       *Uplink
+	window   int64 // bounded-staleness window W
+	synced   int64 // up.msgs at the last completed round-trip
 
 	sent      atomic.Int64
 	sentWords atomic.Int64
 	flowPings atomic.Int64
 
-	frames     [][]byte // per-shard outgoing batch frames under construction
-	frameWords []int64
-	framedMsgs int   // messages across all frames under construction
-	curShard   int   // shard the in-flight Observe emits into
-	emitErr    error // first write error surfaced by a mid-observe frame split
-	emit       func(m core.Message)
-	one        [1]stream.Item // scratch so Observe can reuse the batch path
+	curShard int   // shard the in-flight Observe emits into
+	emitErr  error // first write error surfaced by a mid-observe frame split
+	emit     func(m core.Message)
+	one      [1]stream.Item // scratch so Observe can reuse the batch path
 
 	pendMu     sync.Mutex
 	pending    []shardMsg
@@ -646,10 +462,8 @@ func NewShardedSiteClient(conn net.Conn, machines []netsim.Site[core.Message], c
 		machines:   machines,
 		conn:       conn,
 		tagged:     len(machines) > 1,
-		bw:         bufio.NewWriterSize(conn, 32*1024),
+		up:         NewUplink(conn, len(machines)),
 		window:     int64(cfg.StalenessWindow()),
-		frames:     make([][]byte, len(machines)),
-		frameWords: make([]int64, len(machines)),
 		pong:       make(chan struct{}, 4),
 		readerDone: make(chan struct{}),
 	}
@@ -657,22 +471,13 @@ func NewShardedSiteClient(conn net.Conn, machines []netsim.Site[core.Message], c
 		c.site, _ = machines[0].(*core.Site)
 	}
 	// One state-machine callback can emit arbitrarily many messages (the
-	// L1 duplicating site sends up to l copies per update), so the frame
-	// under construction is shipped whenever the next message would
+	// L1 duplicating site sends up to l copies per update), so the uplink
+	// ships the frame under construction whenever the next message would
 	// overflow it; the write error, if any, surfaces after the callback.
 	c.emit = func(m core.Message) {
-		p := c.curShard
-		if len(c.frames[p])+wire.MessageSize > wire.MaxFrameSize {
-			if err := c.writeFrame(p); err != nil && c.emitErr == nil {
-				c.emitErr = err
-			}
+		if err := c.up.Add(c.curShard, m); err != nil && c.emitErr == nil {
+			c.emitErr = err
 		}
-		if len(c.frames[p]) == 0 && c.tagged {
-			c.frames[p] = wire.AppendShardHeader(c.frames[p], p)
-		}
-		c.frames[p] = wire.AppendMessage(c.frames[p], m)
-		c.frameWords[p] += int64(m.Words())
-		c.framedMsgs++
 	}
 	go c.readLoop()
 	return c, nil
@@ -684,65 +489,48 @@ func (c *SiteClient) SetStalenessWindow(w int) {
 	if w < 1 {
 		w = 1
 	}
-	c.wmu.Lock()
+	c.mu.Lock()
 	c.window = int64(w)
-	c.wmu.Unlock()
+	c.mu.Unlock()
 }
 
 // readLoop parses incoming frames. Broadcasts go into the pending queue
-// for Observe to drain; it never takes the site mutex or blocks on the
-// data path, so a delivered broadcast is always one Observe away from
-// being applied.
+// for Observe to drain; it never takes the site mutex or blocks on the data
+// path, so a delivered broadcast is always one Observe away from being
+// applied. A frame wire.ResolveShard rejects — an untagged broadcast on
+// a sharded client, or a shard this client does not drive — ends the
+// loop: the server has a different shard layout, and applying its
+// broadcasts to shard 0 would leave the other machines filtering at
+// threshold 0 forever (the per-shard O(n) regression).
 func (c *SiteClient) readLoop() {
 	defer close(c.readerDone)
-	br := bufio.NewReader(c.conn)
-	var buf []byte
-	for {
-		payload, err := wire.ReadFrame(br, buf)
-		if err != nil {
-			c.readerErr = err
-			return
+	c.readerErr = wire.ReadFrames(bufio.NewReader(c.conn), c.readFrame)
+}
+
+// readFrame handles one incoming frame on the read loop.
+func (c *SiteClient) readFrame(payload []byte) error {
+	if wire.IsPong(payload) {
+		select {
+		case c.pong <- struct{}{}:
+		default:
 		}
-		buf = payload
-		if len(payload) == 1 && payload[0] == pongPayload[0] {
-			select {
-			case c.pong <- struct{}{}:
-			default:
-			}
-			continue
-		}
-		// Mirror of the server's dispatch: tagged frames name their
-		// shard, untagged ones are only valid on an unsharded client —
-		// a sharded client receiving untagged broadcasts is talking to
-		// a server with a different shard layout, and applying them to
-		// shard 0 would leave the other machines filtering at threshold
-		// 0 forever (the per-shard O(n) regression).
-		shard, msgs := 0, payload
-		var perr error
-		if wire.IsShardFrame(payload) {
-			shard, msgs, perr = wire.ParseShardFrame(payload)
-			if perr == nil && shard >= len(c.machines) {
-				perr = fmt.Errorf("transport: broadcast for shard %d, client drives %d", shard, len(c.machines))
-			}
-		} else if c.tagged {
-			perr = fmt.Errorf("transport: untagged broadcast frame on a %d-shard client", len(c.machines))
-		}
-		if perr != nil {
-			c.readerErr = perr
-			return
-		}
-		var batch []shardMsg
-		if err := wire.ForEachMessage(msgs, func(m core.Message) {
-			batch = append(batch, shardMsg{shard: shard, m: m})
-		}); err != nil {
-			c.readerErr = err
-			return
-		}
-		c.pendMu.Lock()
-		c.pending = append(c.pending, batch...)
-		c.hasPending.Store(true)
-		c.pendMu.Unlock()
+		return nil
 	}
+	shard, msgs, err := wire.ResolveShard(payload, len(c.machines))
+	if err != nil {
+		return err
+	}
+	var batch []shardMsg
+	if err := wire.ForEachMessage(msgs, func(m core.Message) {
+		batch = append(batch, shardMsg{shard: shard, m: m})
+	}); err != nil {
+		return err
+	}
+	c.pendMu.Lock()
+	c.pending = append(c.pending, batch...)
+	c.hasPending.Store(true)
+	c.pendMu.Unlock()
+	return nil
 }
 
 // drainPending applies every queued broadcast to its shard's site state
@@ -775,74 +563,28 @@ func (c *SiteClient) drainPending() bool {
 }
 
 // needSync reports whether sending the currently framed messages would
-// exceed the staleness window.
+// exceed the staleness window: messages count toward it from the moment
+// they are written, not when they are flushed.
 func (c *SiteClient) needSync() bool {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.stale+int64(c.framedMsgs) >= c.window
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.up.msgs-c.synced+int64(c.up.framed) >= c.window
 }
 
-// writeFrame sends shard p's batch frame under construction. Messages
-// count toward stale immediately but reach Sent() only after a
-// successful flush; a write error drops the frame without inflating the
-// counters.
-func (c *SiteClient) writeFrame(p int) error {
-	if len(c.frames[p]) == 0 {
-		return nil
-	}
-	body := len(c.frames[p])
-	if c.tagged {
-		body -= wire.ShardHeaderSize
-	}
-	n := int64(body / wire.MessageSize)
-	c.wmu.Lock()
-	//wrslint:allow nolockio wmu is the dedicated writer mutex: it guards bw itself and is never held by the observe/broadcast paths
-	err := wire.WriteFrame(c.bw, c.frames[p])
-	if err == nil {
-		c.unflushed += n
-		c.unflushedWords += c.frameWords[p]
-		c.stale += n
-	}
-	c.wmu.Unlock()
-	c.frames[p] = c.frames[p][:0]
-	c.frameWords[p] = 0
-	c.framedMsgs -= int(n)
-	return err
+// commit publishes everything the uplink has written to Sent(). Caller
+// holds mu and has just flushed the uplink successfully.
+func (c *SiteClient) commit() {
+	c.sent.Store(c.up.msgs)
+	c.sentWords.Store(c.up.words)
 }
 
-// writeAllFrames sends every shard's frame under construction.
-func (c *SiteClient) writeAllFrames() error {
-	for p := range c.frames {
-		if err := c.writeFrame(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushCommit flushes the buffered writer and, on success, commits the
-// unflushed messages to Sent().
-func (c *SiteClient) flushCommit() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	//wrslint:allow nolockio wmu is the dedicated writer mutex: the flush is the serialized operation, not contended state
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	c.sent.Add(c.unflushed)
-	c.sentWords.Add(c.unflushedWords)
-	c.unflushed = 0
-	c.unflushedWords = 0
-	return nil
-}
-
-// syncCoordinator flushes everything written, round-trips a ping, and
-// applies the broadcasts that arrived before the pong. Per-connection
-// FIFO at both ends guarantees that when the pong is received, the
-// coordinator has processed every message this client sent — every
-// shard's, since they share the connection — and every broadcast those
-// messages triggered has been queued ahead of the pong — so after the
-// drain the site's view is fully current.
+// syncCoordinator ships and flushes everything framed, round-trips a
+// ping, and applies the broadcasts that arrived before the pong.
+// Per-connection FIFO at both ends guarantees that when the pong is
+// received, the coordinator has processed every message this client
+// sent — every shard's, since they share the connection — and every
+// broadcast those messages triggered has been queued ahead of the pong
+// — so after the drain the site's view is fully current.
 func (c *SiteClient) syncCoordinator() error {
 	// Drain stale pongs first. If an earlier sync errored after writing
 	// its ping but before consuming the pong, that pong may still arrive
@@ -855,20 +597,12 @@ func (c *SiteClient) syncCoordinator() error {
 			drained = true
 		}
 	}
-	c.wmu.Lock()
-	//wrslint:allow nolockio wmu is the dedicated writer mutex: the ping write/flush is the serialized operation itself
-	err := wire.WriteFrame(c.bw, pingPayload)
+	c.mu.Lock()
+	err := c.up.Ping()
 	if err == nil {
-		//wrslint:allow nolockio wmu is the dedicated writer mutex: the ping write/flush is the serialized operation itself
-		err = c.bw.Flush()
+		c.commit()
 	}
-	if err == nil {
-		c.sent.Add(c.unflushed)
-		c.sentWords.Add(c.unflushedWords)
-		c.unflushed = 0
-		c.unflushedWords = 0
-	}
-	c.wmu.Unlock()
+	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -878,9 +612,9 @@ func (c *SiteClient) syncCoordinator() error {
 		return fmt.Errorf("transport: connection closed during sync: %w", errOr(c.readerErr))
 	}
 	c.drainPending()
-	c.wmu.Lock()
-	c.stale = 0
-	c.wmu.Unlock()
+	c.mu.Lock()
+	c.synced = c.up.msgs
+	c.mu.Unlock()
 	return nil
 }
 
@@ -901,9 +635,6 @@ func (c *SiteClient) ObserveBatch(items []stream.Item) error {
 	for i := range items {
 		c.drainPending()
 		if c.needSync() {
-			if err := c.writeAllFrames(); err != nil {
-				return err
-			}
 			c.flowPings.Add(1)
 			if err := c.syncCoordinator(); err != nil {
 				return err
@@ -916,32 +647,41 @@ func (c *SiteClient) ObserveBatch(items []stream.Item) error {
 		c.curShard = p
 		c.mu.Lock()
 		err := c.machines[p].Observe(items[i], c.emit)
-		c.mu.Unlock()
-		if err == nil && c.emitErr != nil {
+		if err == nil {
 			err = c.emitErr
 		}
 		c.emitErr = nil
+		var serr error
+		if err == nil && c.up.full(p) {
+			serr = c.up.ship(p)
+		}
+		c.mu.Unlock()
+		if serr != nil {
+			return serr
+		}
 		if err != nil {
 			if werr := c.finishWrites(); werr != nil {
 				return errors.Join(err, werr)
 			}
 			return err
 		}
-		if len(c.frames[p]) > wire.MaxFrameSize-wire.MessageSize {
-			if err := c.writeFrame(p); err != nil {
-				return err
-			}
-		}
 	}
 	return c.finishWrites()
 }
 
-// finishWrites sends every frame under construction and flushes.
+// finishWrites ships every frame under construction, flushes, and
+// commits the flushed messages to Sent().
 func (c *SiteClient) finishWrites() error {
-	if err := c.writeAllFrames(); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.up.shipAll(); err != nil {
 		return err
 	}
-	return c.flushCommit()
+	if err := c.up.flush(); err != nil {
+		return err
+	}
+	c.commit()
+	return nil
 }
 
 // Flush round-trips a ping so that every message this client sent has

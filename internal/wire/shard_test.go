@@ -78,6 +78,48 @@ func TestParseShardFrameMalformed(t *testing.T) {
 	}
 }
 
+// TestResolveShard is the shared resolver every endpoint runs on a
+// received batch frame — server and relay on upstream frames, site
+// client and relay on broadcasts. The endpoint-level tests
+// (transport's TestShardedServerRejects* and TestShardedClientRejects,
+// relay's TestProcessFramesMalformed) drive these rows over a real
+// connection or a relay machine.
+func TestResolveShard(t *testing.T) {
+	msg := core.Message{Kind: core.MsgEpochUpdate, Threshold: 4}
+	plain := AppendMessage(nil, msg)
+	cases := []struct {
+		name      string
+		payload   []byte
+		shards    int
+		wantShard int // -1: must be rejected
+	}{
+		{"untagged on unsharded", plain, 1, 0},
+		{"tagged in range", shardFrame(1, msg), 2, 1},
+		{"tagged shard 0 on unsharded", shardFrame(0, msg), 1, 0},
+		{"untagged on sharded", plain, 2, -1},
+		{"tag beyond hosted", shardFrame(2, msg), 2, -1},
+		{"tag beyond unsharded", shardFrame(1, msg), 1, -1},
+		{"truncated header", []byte{ShardMarker, 0x01}, 2, -1},
+		{"misaligned tagged section", append(shardFrame(0, msg), 0xAB), 2, -1},
+	}
+	for _, tc := range cases {
+		shard, body, err := ResolveShard(tc.payload, tc.shards)
+		if tc.wantShard < 0 {
+			if err == nil {
+				t.Errorf("%s: accepted as shard %d", tc.name, shard)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if shard != tc.wantShard || !bytes.Equal(body, plain) {
+			t.Errorf("%s: got shard %d body % x, want shard %d body % x", tc.name, shard, body, tc.wantShard, plain)
+		}
+	}
+}
+
 func TestAppendShardHeaderPanicsOutOfRange(t *testing.T) {
 	for _, shard := range []int{-1, MaxShard + 1} {
 		func() {
@@ -101,6 +143,11 @@ func FuzzParseShardFrame(f *testing.F) {
 	f.Add([]byte{ShardMarker, 0xFF, 0xFF})
 	f.Add(bytes.Repeat([]byte{ShardMarker}, ShardHeaderSize+MessageSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, hosted := range []int{1, 2} {
+			if shard, _, err := ResolveShard(data, hosted); err == nil && shard >= hosted {
+				t.Fatalf("resolver accepted shard %d on a %d-shard endpoint", shard, hosted)
+			}
+		}
 		shard, body, err := ParseShardFrame(data)
 		if err != nil {
 			return

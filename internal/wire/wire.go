@@ -79,6 +79,14 @@ const (
 	PongByte = 201
 )
 
+// PingPayload and PongPayload are the control frame payloads. They are
+// shared by every writer and outbox, which treat queued payloads as
+// read-only.
+var (
+	PingPayload = []byte{PingByte}
+	PongPayload = []byte{PongByte}
+)
+
 // IsPing reports whether a frame payload is the flow-control ping.
 func IsPing(payload []byte) bool { return len(payload) == 1 && payload[0] == PingByte }
 
@@ -186,6 +194,33 @@ func ParseShardFrame(payload []byte) (shard int, msgs []byte, err error) {
 	return int(binary.LittleEndian.Uint16(payload[1:])), msgs, nil
 }
 
+// ResolveShard names the target shard of a batch frame received by an
+// endpoint hosting `shards` protocol shards, and returns the frame's
+// message bytes (decode those with ForEachMessage). A shard-tagged
+// frame names its shard. An untagged frame is shard 0, but only when
+// shards == 1: on a sharded endpoint it means the sender does not know
+// the shard layout, and defaulting it to shard 0 would sample one ID
+// domain in two shards (upstream) or leave the other shards filtering
+// at threshold 0 forever (downstream). A malformed tag, a shard index
+// beyond the hosted range, and an untagged frame on a sharded endpoint
+// are all errors — the connection must be dropped — never a panic.
+func ResolveShard(payload []byte, shards int) (shard int, msgs []byte, err error) {
+	if !IsShardFrame(payload) {
+		if shards > 1 {
+			return 0, nil, fmt.Errorf("wire: untagged batch frame on a %d-shard endpoint", shards)
+		}
+		return 0, payload, nil
+	}
+	shard, msgs, err = ParseShardFrame(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	if shard >= shards {
+		return 0, nil, fmt.Errorf("wire: frame for shard %d, endpoint hosts %d", shard, shards)
+	}
+	return shard, msgs, nil
+}
+
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
@@ -219,6 +254,23 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// ReadFrames reads frames from r until a read fails or fn returns an
+// error, and returns that error. The payload passed to fn is reused by
+// the next read.
+func ReadFrames(r io.Reader, fn func(payload []byte) error) error {
+	var buf []byte
+	for {
+		payload, err := ReadFrame(r, buf)
+		if err != nil {
+			return err
+		}
+		buf = payload
+		if err := fn(payload); err != nil {
+			return err
+		}
+	}
 }
 
 // WriteMessage encodes and writes one protocol message as a frame.

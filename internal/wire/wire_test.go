@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"testing"
@@ -182,5 +183,29 @@ func TestWriteReadMessage(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("got %+v, want %+v", got, want)
+	}
+}
+
+func TestReadFramesStopsOnHandlerError(t *testing.T) {
+	var b bytes.Buffer
+	for _, p := range [][]byte{{1}, {2, 2}, {3}} {
+		if err := WriteFrame(&b, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := errors.New("stop")
+	var got []int
+	err := ReadFrames(&b, func(p []byte) error {
+		got = append(got, len(p))
+		if len(p) == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || len(got) != 2 {
+		t.Fatalf("ReadFrames = %v after frames %v, want the handler's error after 2", err, got)
+	}
+	if err := ReadFrames(&b, func([]byte) error { return nil }); err != io.EOF {
+		t.Fatalf("ReadFrames at end of stream = %v, want io.EOF", err)
 	}
 }
