@@ -179,7 +179,7 @@ func (a *l1App) Query(snaps Snapshots) float64 {
 // into one pre-sized buffer: each shard is snapshotted under its own
 // ingest lock (an O(s) copy, no sorting), so the buffer holds at most
 // 2s entries per shard — released sample plus withheld pool — and the
-// sort/merge runs outside every lock.
+// top-s selection and merge run outside every lock.
 func snapshotShards(snaps Snapshots, coords []*core.Coordinator, s int) []core.SampleEntry {
 	entries := make([]core.SampleEntry, 0, 2*s*len(coords))
 	for p, coord := range coords {

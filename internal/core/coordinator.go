@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"wrs/internal/sample"
@@ -223,7 +225,7 @@ func (c *Coordinator) maybeAdvanceEpoch(bcast func(Message)) {
 // withheld pool items, unsorted — to dst and returns it. It is the
 // cheap read path for concurrent runtimes: O(s) copies, no sorting, so
 // the time a caller must hold the coordinator's ingest lock is minimal.
-// Sort and truncate outside the lock with TopSample.
+// Select and sort outside the lock with TopSample.
 func (c *Coordinator) Snapshot(dst []SampleEntry) []SampleEntry {
 	for _, e := range c.smp.Items() {
 		dst = append(dst, SampleEntry{Key: e.Key, Item: e.Val})
@@ -234,15 +236,20 @@ func (c *Coordinator) Snapshot(dst []SampleEntry) []SampleEntry {
 	return dst
 }
 
-// TopSample sorts entries by descending key in place and truncates to
-// s — the finishing step for Snapshot results, also used to merge
-// per-shard snapshots exactly (the global top-s of a union is contained
-// in the union of per-shard top-s sets).
+// ByKeyDesc orders sample entries by descending key: the order
+// TopSample returns, and the one every top-s selection over snapshots
+// uses.
+func ByKeyDesc(a, b SampleEntry) int { return cmp.Compare(b.Key, a.Key) }
+
+// TopSample reorders entries in place so that the s with the largest
+// keys come first, sorted by descending key, and truncates to s — the
+// finishing step for Snapshot results, also used to merge per-shard
+// snapshots exactly (the global top-s of a union is contained in the
+// union of per-shard top-s sets). It selects the s in linear time and
+// sorts only them.
 func TopSample(entries []SampleEntry, s int) []SampleEntry {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key > entries[j].Key })
-	if len(entries) > s {
-		entries = entries[:s]
-	}
+	entries = sample.SelectTop(entries, s, ByKeyDesc)
+	slices.SortFunc(entries, ByKeyDesc)
 	return entries
 }
 
@@ -255,13 +262,23 @@ func (c *Coordinator) Query() []SampleEntry {
 
 // SthKey returns the s-th largest key over all items held (released and
 // withheld) and whether s keys exist yet. The L1 tracker's estimate is
-// built on this order statistic (Section 5).
+// built on this order statistic (Section 5). It copies the O(s) keys
+// and selects without sorting, so it may run under a shard's ingest
+// lock.
 func (c *Coordinator) SthKey() (float64, bool) {
-	q := c.Query()
-	if len(q) < c.cfg.S {
+	n := c.smp.Len() + c.pool.Len()
+	if n < c.cfg.S {
 		return 0, false
 	}
-	return q[len(q)-1].Key, true
+	keys := make([]float64, 0, n)
+	for _, e := range c.smp.Items() {
+		keys = append(keys, e.Key)
+	}
+	for _, e := range c.pool.Items() {
+		keys = append(keys, e.Key)
+	}
+	top := sample.SelectTop(keys, c.cfg.S, func(a, b float64) int { return cmp.Compare(b, a) })
+	return slices.Min(top), true
 }
 
 // WithheldCount returns how many items are currently withheld in

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"wrs/internal/netsim"
@@ -354,6 +356,51 @@ func TestSthKey(t *testing.T) {
 	q := coord.Query()
 	if key != q[len(q)-1].Key {
 		t.Fatalf("SthKey %v != smallest query key %v", key, q[len(q)-1].Key)
+	}
+
+	// Rows against a sorted reference of every held key, built by
+	// driving the coordinator directly: regular messages fill S with
+	// the given keys; early messages of one unsaturated level land in
+	// the withheld pool with coordinator-drawn keys.
+	rows := []struct {
+		name    string
+		regular []float64
+		early   int
+	}{
+		{"empty", nil, 0},
+		{"fewer than s", []float64{4, 2, 9}, 0},
+		{"exactly s", []float64{4, 2, 9, 7, 1}, 0},
+		{"S full with a withheld pool", []float64{4, 2, 9, 7, 1}, 3},
+	}
+	for _, r := range rows {
+		c := NewCoordinator(cfg, xrand.New(3))
+		for i, k := range r.regular {
+			c.HandleMessage(Message{Kind: MsgRegular, Key: k, Item: stream.Item{ID: uint64(i), Weight: 1}}, func(Message) {})
+		}
+		for i := 0; i < r.early; i++ {
+			c.HandleMessage(Message{Kind: MsgEarly, Item: stream.Item{ID: uint64(100 + i), Weight: 3}}, func(Message) {})
+		}
+		if r.early > 0 && (c.WithheldCount() == 0 || !c.smp.Full()) {
+			t.Fatalf("%s: S full %v, withheld %d", r.name, c.smp.Full(), c.WithheldCount())
+		}
+		var keys []float64
+		for _, e := range c.Snapshot(nil) {
+			keys = append(keys, e.Key)
+		}
+		slices.SortFunc(keys, func(a, b float64) int { return cmp.Compare(b, a) })
+		got, ok := c.SthKey()
+		if len(keys) < cfg.S {
+			if ok {
+				t.Errorf("%s: SthKey = (%v, true) with %d keys held", r.name, got, len(keys))
+			}
+			continue
+		}
+		if want := keys[cfg.S-1]; !ok || got != want {
+			t.Errorf("%s: SthKey = (%v, %v), want (%v, true)", r.name, got, ok, want)
+		}
+		if r.early > 0 && got == c.U() {
+			t.Errorf("%s: s-th key %v is u itself; the row does not exercise the pool", r.name, got)
+		}
 	}
 }
 

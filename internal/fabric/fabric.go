@@ -1,7 +1,8 @@
 // Package fabric provides the shard-partitioning primitives for running
 // P independent protocol instances behind one sampling API: a
 // deterministic, seed-stable router that partitions a stream by item ID,
-// and the exact merge of per-shard query results.
+// and the sum of per-shard coordinator statistics. The exact merge of
+// per-shard query results is core.TopSample over their concatenation.
 //
 // Correctness of the merge rests on the precision-sampling keys: the
 // global weighted SWOR is the set of items with the s largest keys, and
@@ -40,13 +41,6 @@ func ShardOf(id uint64, p int) int {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return int(z % uint64(p))
-}
-
-// Merge sorts the concatenated per-shard sample entries by descending
-// key and truncates to s — the exact global top-s, per the package
-// comment. It is core.TopSample under the name the sharding layers use.
-func Merge(entries []core.SampleEntry, s int) []core.SampleEntry {
-	return core.TopSample(entries, s)
 }
 
 // MergeCoordStats sums per-shard coordinator statistics. Message and

@@ -57,7 +57,7 @@ func TestMergeIsExactTopS(t *testing.T) {
 		return out
 	}
 	all := append(append(mk(9, 5, 1), mk(8, 6, 2)...), mk(7, 4, 3)...)
-	got := Merge(all, 4)
+	got := core.TopSample(all, 4)
 	want := []float64{9, 8, 7, 6}
 	if len(got) != len(want) {
 		t.Fatalf("merged %d entries, want %d", len(got), len(want))

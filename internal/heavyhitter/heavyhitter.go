@@ -16,11 +16,14 @@
 package heavyhitter
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"wrs/internal/core"
+	"wrs/internal/sample"
 	"wrs/internal/stream"
 	"wrs/internal/swr"
 	"wrs/internal/xrand"
@@ -87,20 +90,29 @@ func (t *Tracker) Query() []stream.Item {
 // entries: keep the SampleSize() largest keys (the weighted SWOR —
 // exact even when entries concatenates snapshots of several protocol
 // shards, since the top-s of a union is the top-s of the per-shard
-// top-s sets), then rank by weight and truncate to OutputSize(). It is
-// the lock-free half of a query: snapshot coordinators under their
-// ingest locks, call this outside them.
+// top-s sets), then rank by weight and truncate to OutputSize(). Both
+// steps select in linear time; only the OutputSize() survivors are
+// sorted. Weight ties rank by key, so the list is a function of the
+// sample alone, whatever order entries arrives in (it is reordered in
+// place). It is the lock-free half of a query: snapshot coordinators
+// under their ingest locks, call this outside them.
 func CandidatesFrom(entries []core.SampleEntry, p Params) []stream.Item {
-	entries = core.TopSample(entries, p.SampleSize())
-	items := make([]stream.Item, len(entries))
-	for i, e := range entries {
+	top := sample.SelectTop(entries, p.SampleSize(), core.ByKeyDesc)
+	top = sample.SelectTop(top, p.OutputSize(), byWeightDesc)
+	slices.SortFunc(top, byWeightDesc)
+	items := make([]stream.Item, len(top))
+	for i, e := range top {
 		items[i] = e.Item
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].Weight > items[j].Weight })
-	if n := p.OutputSize(); len(items) > n {
-		items = items[:n]
-	}
 	return items
+}
+
+// byWeightDesc ranks candidates heaviest first, weight ties by key.
+func byWeightDesc(a, b core.SampleEntry) int {
+	if c := cmp.Compare(b.Item.Weight, a.Item.Weight); c != 0 {
+		return c
+	}
+	return core.ByKeyDesc(a, b)
 }
 
 // SWRTracker is the with-replacement baseline: the same number of samples

@@ -251,3 +251,45 @@ func TestSpaceSavingCounterInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCandidatesFromTiedWeights feeds CandidatesFrom a sample whose
+// weights tie in long runs, in many input orders: the candidate list
+// must not change, and within a weight tie the larger key ranks first.
+func TestCandidatesFromTiedWeights(t *testing.T) {
+	p := Params{Eps: 0.1, Delta: 0.1}
+	rng := xrand.New(21)
+	entries := make([]core.SampleEntry, 3*p.SampleSize())
+	for i := range entries {
+		w := float64(1 + i%3)
+		entries[i] = core.SampleEntry{Key: rng.ExpKey(w), Item: stream.Item{ID: uint64(i), Weight: w}}
+	}
+	want := CandidatesFrom(append([]core.SampleEntry(nil), entries...), p)
+	if len(want) != p.OutputSize() {
+		t.Fatalf("%d candidates, want %d", len(want), p.OutputSize())
+	}
+	keyOf := make(map[uint64]float64, len(entries))
+	for _, e := range entries {
+		keyOf[e.Item.ID] = e.Key
+	}
+	for i := 1; i < len(want); i++ {
+		a, b := want[i-1], want[i]
+		if a.Weight < b.Weight || (a.Weight == b.Weight && keyOf[a.ID] < keyOf[b.ID]) {
+			t.Fatalf("rank %d (w=%v, key=%v) before rank %d (w=%v, key=%v)", i-1, a.Weight, keyOf[a.ID], i, b.Weight, keyOf[b.ID])
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		for i := len(entries) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			entries[i], entries[j] = entries[j], entries[i]
+		}
+		got := CandidatesFrom(append([]core.SampleEntry(nil), entries...), p)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d candidates, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: rank %d is %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}

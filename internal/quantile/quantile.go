@@ -28,10 +28,11 @@ package quantile
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"wrs/internal/core"
-	"wrs/internal/stream"
+	"wrs/internal/sample"
 )
 
 // Params selects the accuracy of the quantile estimate.
@@ -66,18 +67,12 @@ func (p Params) SampleSize() int {
 	return int(math.Ceil(p.sFactor() * math.Log(2/p.Delta) / (p.Eps * p.Eps)))
 }
 
-// point is one support point of the estimated weight distribution.
-type point struct {
-	item stream.Item
-	adj  float64 // Horvitz-Thompson adjusted weight
-	cum  float64 // prefix sum of adj, ascending by item weight
-}
-
 // Summary is a queryable estimate of the stream's weight-CDF, built
 // from a weighted SWOR by Summarize. The zero value is an empty stream
 // (Total 0, CDF identically 0).
 type Summary struct {
-	pts       []point
+	ws        []float64 // support weights, ascending
+	cum       []float64 // cum[i]: adjusted weight of ws[:i+1]
 	total     float64
 	tau       float64
 	saturated bool
@@ -86,31 +81,43 @@ type Summary struct {
 // Summarize builds a Summary from sample-candidate entries and the
 // configured sample size s. The entries may be the concatenated
 // snapshots of several protocol shards: the exact top-s merge happens
-// here. With fewer than s entries after the merge the stream itself had
-// fewer than s items, so the summary is exact; otherwise the s-th
-// largest key becomes the calibration threshold tau and the remaining
-// s-1 items carry Horvitz-Thompson weights.
+// here, by selection in linear time; entries is reordered in place.
+// With fewer than s entries after the merge the stream itself had fewer
+// than s items, so the summary is exact; otherwise the s-th largest key
+// becomes the calibration threshold tau and the remaining s-1 items
+// carry Horvitz-Thompson weights.
 func Summarize(entries []core.SampleEntry, s int) Summary {
-	entries = core.TopSample(entries, s)
+	top := sample.SelectTop(entries, s, core.ByKeyDesc)
 	sm := Summary{}
-	if len(entries) >= s && s > 0 {
+	if len(top) >= s && s > 0 {
 		sm.saturated = true
-		sm.tau = entries[s-1].Key
-		entries = entries[:s-1]
+		// tau is the smallest selected key; its item leaves the support.
+		last := 0
+		for i := range top {
+			if top[i].Key < top[last].Key {
+				last = i
+			}
+		}
+		top[last], top[s-1] = top[s-1], top[last]
+		sm.tau = top[s-1].Key
+		top = top[:s-1]
 	}
-	sm.pts = make([]point, 0, len(entries))
-	for _, e := range entries {
-		adj := e.Item.Weight
+	sm.ws = make([]float64, len(top))
+	for i, e := range top {
+		sm.ws[i] = e.Item.Weight
+	}
+	slices.Sort(sm.ws)
+	// The adjusted weight is a function of the weight alone, so prefix
+	// sums in ascending-weight order do not depend on how ties sort.
+	sm.cum = make([]float64, len(sm.ws))
+	for i, w := range sm.ws {
+		adj := w
 		if sm.saturated {
 			// Inclusion probability given tau: P(w/t > tau) = 1 - e^(-w/tau).
-			adj = e.Item.Weight / -math.Expm1(-e.Item.Weight/sm.tau)
+			adj = w / -math.Expm1(-w/sm.tau)
 		}
-		sm.pts = append(sm.pts, point{item: e.Item, adj: adj})
-	}
-	sort.Slice(sm.pts, func(i, j int) bool { return sm.pts[i].item.Weight < sm.pts[j].item.Weight })
-	for i := range sm.pts {
-		sm.total += sm.pts[i].adj
-		sm.pts[i].cum = sm.total
+		sm.total += adj
+		sm.cum[i] = sm.total
 	}
 	return sm
 }
@@ -124,7 +131,7 @@ func (sm Summary) Saturated() bool { return sm.saturated }
 func (sm Summary) Threshold() float64 { return sm.tau }
 
 // Support returns the number of distinct sampled support points.
-func (sm Summary) Support() int { return len(sm.pts) }
+func (sm Summary) Support() int { return len(sm.ws) }
 
 // Total returns the estimated total weight W of the stream — the
 // Section 5 calibration at work: exact while the sample holds
@@ -138,12 +145,12 @@ func (sm Summary) CDF(x float64) float64 {
 	if sm.total <= 0 {
 		return 0
 	}
-	// Largest i with pts[i].weight <= x.
-	i := sort.Search(len(sm.pts), func(i int) bool { return sm.pts[i].item.Weight > x })
+	// Largest i with ws[i] <= x.
+	i := sort.Search(len(sm.ws), func(i int) bool { return sm.ws[i] > x })
 	if i == 0 {
 		return 0
 	}
-	return sm.pts[i-1].cum / sm.total
+	return sm.cum[i-1] / sm.total
 }
 
 // Quantile returns the smallest sampled weight x with CDF(x) >= phi —
@@ -151,15 +158,15 @@ func (sm Summary) CDF(x float64) float64 {
 // smallest support point, phi >= 1 the largest). ok is false on an
 // empty summary.
 func (sm Summary) Quantile(phi float64) (x float64, ok bool) {
-	if len(sm.pts) == 0 || sm.total <= 0 {
+	if len(sm.ws) == 0 || sm.total <= 0 {
 		return 0, false
 	}
 	target := phi * sm.total
-	i := sort.Search(len(sm.pts), func(i int) bool { return sm.pts[i].cum >= target })
-	if i == len(sm.pts) {
-		i = len(sm.pts) - 1
+	i := sort.Search(len(sm.cum), func(i int) bool { return sm.cum[i] >= target })
+	if i == len(sm.cum) {
+		i = len(sm.cum) - 1
 	}
-	return sm.pts[i].item.Weight, true
+	return sm.ws[i], true
 }
 
 // Oracle accumulates the exact weight distribution — the ground truth

@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"wrs/internal/core"
@@ -221,5 +222,140 @@ func TestEmptySummary(t *testing.T) {
 	}
 	if _, ok := o.Quantile(0.5); ok {
 		t.Error("empty Oracle Quantile ok")
+	}
+}
+
+// refPoint, refSummary and refSummarize are Summarize as it was when it
+// sorted every candidate by key and then the survivors by weight (with
+// core.TopSample's former sort-and-truncate inlined), kept as the
+// reference the selection-based Summarize must match bit for bit.
+type refPoint struct {
+	item stream.Item
+	adj  float64
+	cum  float64
+}
+
+type refSummary struct {
+	pts       []refPoint
+	total     float64
+	tau       float64
+	saturated bool
+}
+
+func refSummarize(entries []core.SampleEntry, s int) refSummary {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Key > entries[j].Key })
+	if len(entries) > s {
+		entries = entries[:s]
+	}
+	sm := refSummary{}
+	if len(entries) >= s && s > 0 {
+		sm.saturated = true
+		sm.tau = entries[s-1].Key
+		entries = entries[:s-1]
+	}
+	sm.pts = make([]refPoint, 0, len(entries))
+	for _, e := range entries {
+		adj := e.Item.Weight
+		if sm.saturated {
+			adj = e.Item.Weight / -math.Expm1(-e.Item.Weight/sm.tau)
+		}
+		sm.pts = append(sm.pts, refPoint{item: e.Item, adj: adj})
+	}
+	sort.Slice(sm.pts, func(i, j int) bool { return sm.pts[i].item.Weight < sm.pts[j].item.Weight })
+	for i := range sm.pts {
+		sm.total += sm.pts[i].adj
+		sm.pts[i].cum = sm.total
+	}
+	return sm
+}
+
+func (sm refSummary) CDF(x float64) float64 {
+	if sm.total <= 0 {
+		return 0
+	}
+	i := sort.Search(len(sm.pts), func(i int) bool { return sm.pts[i].item.Weight > x })
+	if i == 0 {
+		return 0
+	}
+	return sm.pts[i-1].cum / sm.total
+}
+
+func (sm refSummary) Quantile(phi float64) (float64, bool) {
+	if len(sm.pts) == 0 || sm.total <= 0 {
+		return 0, false
+	}
+	target := phi * sm.total
+	i := sort.Search(len(sm.pts), func(i int) bool { return sm.pts[i].cum >= target })
+	if i == len(sm.pts) {
+		i = len(sm.pts) - 1
+	}
+	return sm.pts[i].item.Weight, true
+}
+
+// referenceEntries draws n candidates whose weights are half discrete
+// (heavy ties) and half Pareto, keyed like the protocol keys them.
+func referenceEntries(n int, seed uint64) []core.SampleEntry {
+	rng := xrand.New(seed)
+	weights := make([]float64, n)
+	for i := range weights {
+		if i%2 == 0 {
+			weights[i] = float64(1 + rng.Intn(50))
+		} else {
+			weights[i] = math.Pow(1-rng.OpenFloat64(), -1/1.5)
+		}
+	}
+	return keysFor(weights, seed+1)
+}
+
+// TestSummarizeMatchesReference pins the selection-based Summarize to
+// the sort-based reference at the benchmark's sample size, on both
+// sides of the saturation boundary: every accessor must agree under ==.
+func TestSummarizeMatchesReference(t *testing.T) {
+	const s = 8477
+	for _, n := range []int{s - 1, s, s + 1, 2 * s} {
+		entries := referenceEntries(n, uint64(n))
+		want := refSummarize(append([]core.SampleEntry(nil), entries...), s)
+		got := Summarize(append([]core.SampleEntry(nil), entries...), s)
+		if got.Total() != want.total || got.Threshold() != want.tau ||
+			got.Saturated() != want.saturated || got.Support() != len(want.pts) {
+			t.Fatalf("n=%d: total %v/%v, tau %v/%v, saturated %v/%v, support %d/%d (got/want)", n,
+				got.Total(), want.total, got.Threshold(), want.tau,
+				got.Saturated(), want.saturated, got.Support(), len(want.pts))
+		}
+		xs := []float64{0, math.Inf(1)}
+		for i, p := range want.pts {
+			xs = append(xs, p.item.Weight)
+			if i > 0 {
+				xs = append(xs, (want.pts[i-1].item.Weight+p.item.Weight)/2)
+			}
+		}
+		for _, x := range xs {
+			if g, w := got.CDF(x), want.CDF(x); g != w {
+				t.Fatalf("n=%d: CDF(%v) = %v, want %v", n, x, g, w)
+			}
+		}
+		for i := 0; i <= 1000; i++ {
+			phi := float64(i) / 1000
+			g, gok := got.Quantile(phi)
+			w, wok := want.Quantile(phi)
+			if g != w || gok != wok {
+				t.Fatalf("n=%d: Quantile(%v) = (%v, %v), want (%v, %v)", n, phi, g, gok, w, wok)
+			}
+		}
+	}
+}
+
+// BenchmarkSummarize measures one quantile query's math at the
+// paced-quantiles sample size (eps 0.05, delta 0.01): 2s candidates,
+// the most one shard's snapshot can hold. Each iteration summarizes a
+// fresh copy, since Summarize reorders its input.
+func BenchmarkSummarize(b *testing.B) {
+	s := Params{Eps: 0.05, Delta: 0.01}.SampleSize()
+	entries := referenceEntries(2*s, 1)
+	buf := make([]core.SampleEntry, len(entries))
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(buf, entries)
+		Summarize(buf, s)
 	}
 }

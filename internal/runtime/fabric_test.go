@@ -90,7 +90,7 @@ func TestFabricMatrixExactness(t *testing.T) {
 					coord := insts[p].Coord.Core()
 					run.DoShard(p, func() { entries = coord.Snapshot(entries) })
 				}
-				merged := fabric.Merge(entries, cfg.S)
+				merged := core.TopSample(entries, cfg.S)
 				if len(merged) != cfg.S {
 					t.Fatalf("merged sample size %d, want %d", len(merged), cfg.S)
 				}
@@ -154,7 +154,7 @@ func TestFabricFeedBatchSplit(t *testing.T) {
 					coord := insts[p].Coord.Core()
 					run.DoShard(p, func() { entries = coord.Snapshot(entries) })
 				}
-				merged := fabric.Merge(entries, cfg.S)
+				merged := core.TopSample(entries, cfg.S)
 				want := rec.TopIDs(cfg.S)
 				if len(merged) != cfg.S {
 					t.Fatalf("merged sample size %d, want %d", len(merged), cfg.S)

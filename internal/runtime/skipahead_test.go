@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"wrs/internal/core"
-	"wrs/internal/fabric"
 	"wrs/internal/stream"
 	"wrs/internal/xrand"
 )
@@ -53,7 +52,7 @@ func TestSkipAheadMatrix(t *testing.T) {
 					coord := insts[p].Coord.Core()
 					run.DoShard(p, func() { entries = coord.Snapshot(entries) })
 				}
-				merged := fabric.Merge(entries, cfg.S)
+				merged := core.TopSample(entries, cfg.S)
 				if len(merged) != cfg.S {
 					t.Fatalf("merged sample size %d, want %d", len(merged), cfg.S)
 				}

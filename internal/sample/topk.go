@@ -13,6 +13,12 @@
 //     probabilities, used by the statistical tests.
 package sample
 
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
+
 // Entry is a keyed payload held by TopK.
 type Entry[T any] struct {
 	Key float64
@@ -79,8 +85,7 @@ func (t *TopK[T]) Items() []Entry[T] { return t.h }
 // descending key.
 func (t *TopK[T]) SortedDesc() []Entry[T] {
 	out := append([]Entry[T](nil), t.h...)
-	// Simple heapsort-free path: small k, use insertion-friendly sort.
-	sortEntriesDesc(out)
+	slices.SortFunc(out, func(a, b Entry[T]) int { return cmp.Compare(b.Key, a.Key) })
 	return out
 }
 
@@ -117,49 +122,73 @@ func (t *TopK[T]) down(i int) {
 	}
 }
 
-func sortEntriesDesc[T any](es []Entry[T]) {
-	// Insertion sort is fine for sample-sized slices; switch to a
-	// pivot-based sort for larger ones.
-	if len(es) > 64 {
-		quickSortDesc(es)
-		return
+// SelectTop reorders xs in place so that its first min(s, len(xs))
+// elements are the ones slices.SortFunc(xs, cmp) would put first, in
+// unspecified order, and returns that prefix. Elements that compare
+// equal across the boundary may trade places; under a total order the
+// selected set is unique. It is an introselect — quickselect with a
+// median-of-three pivot and no randomness — running in expected O(n);
+// after about 2·log2(n) partition rounds it sorts the remaining range,
+// so the worst case stays O(n log n). Sorting the prefix with the same
+// cmp yields the first s elements of the full sort.
+func SelectTop[E any](xs []E, s int, cmp func(a, b E) int) []E {
+	if s <= 0 {
+		return xs[:0]
 	}
-	for i := 1; i < len(es); i++ {
-		e := es[i]
-		j := i - 1
-		for j >= 0 && es[j].Key < e.Key {
-			es[j+1] = es[j]
-			j--
+	if s >= len(xs) {
+		return xs
+	}
+	// Invariant: xs[:lo] <= xs[lo:hi] <= xs[hi:] and lo < s < hi. A
+	// range of 12 or fewer is left to slices.SortFunc, which
+	// insertion-sorts it.
+	lo, hi := 0, len(xs)
+	for rounds := 2 * bits.Len(uint(len(xs))); hi-lo > 12 && rounds > 0; rounds-- {
+		m := lo + partition(xs[lo:hi], cmp)
+		switch {
+		case s < m:
+			hi = m
+		case s > m+1:
+			lo = m + 1
+		default:
+			return xs[:s]
 		}
-		es[j+1] = e
 	}
+	slices.SortFunc(xs[lo:hi], cmp)
+	return xs[:s]
 }
 
-func quickSortDesc[T any](es []Entry[T]) {
-	for len(es) > 32 {
-		p := partitionDesc(es)
-		if p < len(es)-p {
-			quickSortDesc(es[:p])
-			es = es[p+1:]
-		} else {
-			quickSortDesc(es[p+1:])
-			es = es[:p]
+// partition reorders xs (len >= 3) around the median of its first,
+// middle and last elements and returns the pivot's final index m, with
+// xs[:m] <= xs[m] <= xs[m+1:] under cmp. Both scans stop on elements
+// equal to the pivot, so a run of equal elements splits evenly instead
+// of degrading to quadratic time.
+func partition[E any](xs []E, cmp func(a, b E) int) int {
+	last := len(xs) - 1
+	mid := last / 2
+	if cmp(xs[mid], xs[0]) < 0 {
+		xs[mid], xs[0] = xs[0], xs[mid]
+	}
+	if cmp(xs[last], xs[mid]) < 0 {
+		xs[last], xs[mid] = xs[mid], xs[last]
+		if cmp(xs[mid], xs[0]) < 0 {
+			xs[mid], xs[0] = xs[0], xs[mid]
 		}
 	}
-	sortEntriesDesc(es)
-}
-
-func partitionDesc[T any](es []Entry[T]) int {
-	mid := len(es) / 2
-	es[mid], es[len(es)-1] = es[len(es)-1], es[mid]
-	pivot := es[len(es)-1].Key
-	i := 0
-	for j := 0; j < len(es)-1; j++ {
-		if es[j].Key > pivot {
-			es[i], es[j] = es[j], es[i]
-			i++
+	// The median becomes the pivot at xs[0]; xs[last] >= pivot and the
+	// pivot itself bound the two scans.
+	xs[0], xs[mid] = xs[mid], xs[0]
+	pivot := xs[0]
+	i, j := 0, len(xs)
+	for {
+		for i++; cmp(xs[i], pivot) < 0; i++ {
 		}
+		for j--; cmp(pivot, xs[j]) < 0; j-- {
+		}
+		if i >= j {
+			break
+		}
+		xs[i], xs[j] = xs[j], xs[i]
 	}
-	es[i], es[len(es)-1] = es[len(es)-1], es[i]
-	return i
+	xs[0], xs[j] = xs[j], xs[0]
+	return j
 }

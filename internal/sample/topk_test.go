@@ -1,6 +1,10 @@
 package sample
 
 import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -93,4 +97,112 @@ func TestTopKReset(t *testing.T) {
 	if _, ok := top.Min(); ok {
 		t.Fatal("Min on empty returned ok")
 	}
+}
+
+// selectOrders are the comparators SelectTop is checked under: by key
+// alone, where equal keys make the boundary ambiguous, and the total
+// order key-then-ID, where the selected set is unique.
+var selectOrders = []struct {
+	name  string
+	total bool
+	cmp   func(a, b Entry[int]) int
+}{
+	{"key", false, func(a, b Entry[int]) int { return cmp.Compare(b.Key, a.Key) }},
+	{"key,id", true, func(a, b Entry[int]) int {
+		if c := cmp.Compare(b.Key, a.Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Val, b.Val)
+	}},
+}
+
+// checkSelectTop runs SelectTop over keys (entry i carries ID i) and
+// compares the selected prefix, sorted, with the first s entries of a
+// full slices.SortFunc order: equal keys under either comparator, equal
+// IDs too under the total one. The input must come back permuted, not
+// altered, with the selection as its prefix.
+func checkSelectTop(t *testing.T, label string, keys []float64, s int) {
+	t.Helper()
+	in := make([]Entry[int], len(keys))
+	for i, k := range keys {
+		in[i] = Entry[int]{Key: k, Val: i}
+	}
+	for _, o := range selectOrders {
+		want := slices.Clone(in)
+		slices.SortFunc(want, o.cmp)
+		want = want[:max(0, min(s, len(want)))]
+
+		buf := slices.Clone(in)
+		got := SelectTop(buf, s, o.cmp)
+		if len(got) != len(want) {
+			t.Fatalf("%s/%s s=%d: selected %d entries, want %d", label, o.name, s, len(got), len(want))
+		}
+		if len(got) > 0 && &got[0] != &buf[0] {
+			t.Fatalf("%s/%s s=%d: selection is not a prefix of the input", label, o.name, s)
+		}
+		seen := make([]bool, len(buf))
+		for _, e := range buf {
+			if seen[e.Val] || e.Key != keys[e.Val] {
+				t.Fatalf("%s/%s s=%d: input was not permuted in place", label, o.name, s)
+			}
+			seen[e.Val] = true
+		}
+		slices.SortFunc(got, o.cmp)
+		for i := range want {
+			if got[i].Key != want[i].Key || (o.total && got[i].Val != want[i].Val) {
+				t.Fatalf("%s/%s s=%d: rank %d is %+v, want %+v", label, o.name, s, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSelectTop pins SelectTop to the sorted reference across lengths
+// around s and the input orders that defeat naive pivots, including the
+// heap layout TopK.Items returns (what coordinator snapshots hold).
+func TestSelectTop(t *testing.T) {
+	const s = 37
+	orders := map[string]func(n int) []float64{
+		"ascending":  func(n int) []float64 { return keysOf(n, func(i int) float64 { return float64(i) }) },
+		"descending": func(n int) []float64 { return keysOf(n, func(i int) float64 { return float64(n - i) }) },
+		"all-equal":  func(n int) []float64 { return keysOf(n, func(int) float64 { return 1 }) },
+		"organ-pipe": func(n int) []float64 { return keysOf(n, func(i int) float64 { return float64(min(i, n-1-i)) }) },
+		"heap": func(n int) []float64 {
+			top := NewTopK[int](max(n, 1))
+			rng := xrand.New(uint64(n))
+			for i := 0; i < n; i++ {
+				top.Offer(rng.Float64(), i)
+			}
+			return keysOf(n, func(i int) float64 { return top.Items()[i].Key })
+		},
+	}
+	for name, gen := range orders {
+		for _, n := range []int{0, 1, s - 1, s, s + 1, 2 * s, 14 * s} {
+			checkSelectTop(t, fmt.Sprintf("%s/n=%d", name, n), gen(n), s)
+		}
+	}
+	checkSelectTop(t, "s=0", []float64{3, 1, 2}, 0)
+}
+
+func keysOf(n int, key func(i int) float64) []float64 {
+	keys := make([]float64, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	return keys
+}
+
+// FuzzSelectTop derives keys from fuzz bytes — 16 distinct values, so
+// long runs of duplicates — and checks SelectTop against the sorted
+// reference for any s from 0 past the input length.
+func FuzzSelectTop(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, uint16(4))
+	f.Add(bytes.Repeat([]byte{7}, 64), uint16(20))
+	f.Add(bytes.Repeat([]byte{0, 15, 1, 14, 2, 13}, 8), uint16(30))
+	f.Fuzz(func(t *testing.T, data []byte, sRaw uint16) {
+		keys := make([]float64, len(data))
+		for i, b := range data {
+			keys[i] = float64(b % 16)
+		}
+		checkSelectTop(t, "fuzz", keys, int(sRaw)%(len(data)+2))
+	})
 }

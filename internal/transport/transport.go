@@ -248,8 +248,9 @@ func (s *CoordinatorServer) broadcaster(p int) func(core.Message) {
 
 // Query returns the current weighted sample merged across all shards
 // (safe for concurrent use). Each shard is snapshotted under its own
-// ingest mutex — an O(s) copy — and the sort runs outside every lock,
-// so a query never stalls ingest for the sort (DESIGN.md §9).
+// ingest mutex — an O(s) copy — and the top-s selection and sort run
+// outside every lock, so a query never stalls ingest for them
+// (DESIGN.md §9).
 func (s *CoordinatorServer) Query() []core.SampleEntry {
 	entries := make([]core.SampleEntry, 0, 2*s.cfg.S*len(s.shards))
 	for _, sh := range s.shards {

@@ -22,10 +22,12 @@
 package window
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"wrs/internal/sample"
 	"wrs/internal/stream"
 	"wrs/internal/xrand"
 )
@@ -38,22 +40,26 @@ type Entry struct {
 	Item stream.Item
 }
 
-// TopEntries sorts entries by descending key in place — ties, which
-// have measure zero, break by item ID so every windowed query path is
-// a deterministic function of its candidate set — and truncates to s.
-// It is the finishing step for AppendEntries results, always run
+// TopEntries reorders entries in place so that the s first in
+// descending key order come first, sorted, and truncates to s. Ties,
+// which have measure zero, break by item ID — in the selection as in
+// the sort — so every windowed query path is a deterministic function
+// of its candidate set. It selects the s in linear time and sorts only
+// them. It is the finishing step for AppendEntries results, always run
 // outside any ingest lock.
 func TopEntries(entries []Entry, s int) []Entry {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Key != entries[j].Key {
-			return entries[i].Key > entries[j].Key
-		}
-		return entries[i].Item.ID < entries[j].Item.ID
-	})
-	if len(entries) > s {
-		entries = entries[:s]
-	}
+	entries = sample.SelectTop(entries, s, compareEntries)
+	slices.SortFunc(entries, compareEntries)
 	return entries
+}
+
+// compareEntries is the windowed sample order: key descending, then
+// item ID ascending.
+func compareEntries(a, b Entry) int {
+	if c := cmp.Compare(b.Key, a.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Item.ID, b.Item.ID)
 }
 
 // Sampler maintains a weighted SWOR of size s over the last `width`

@@ -162,3 +162,39 @@ func TestWindowSmallStream(t *testing.T) {
 		t.Errorf("N = %d", w.N())
 	}
 }
+
+// TestTopEntriesTieAtBoundary puts a run of equal keys across the s
+// boundary: whatever the input order, the lowest IDs of the run must
+// fill the remaining slots, in ID order, after every larger key.
+func TestTopEntriesTieAtBoundary(t *testing.T) {
+	const s, tied = 16, 20
+	var entries []Entry
+	for i := 0; i < 10; i++ { // ten keys above the run, ten below
+		entries = append(entries,
+			Entry{Key: 10 + float64(i), Item: stream.Item{ID: uint64(100 + i)}},
+			Entry{Key: float64(i) / 10, Item: stream.Item{ID: uint64(200 + i)}})
+	}
+	for i := 0; i < tied; i++ {
+		entries = append(entries, Entry{Key: 5, Item: stream.Item{ID: uint64(tied - i)}})
+	}
+	rng := xrand.New(11)
+	for trial := 0; trial < 20; trial++ {
+		for i := len(entries) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			entries[i], entries[j] = entries[j], entries[i]
+		}
+		got := TopEntries(append([]Entry(nil), entries...), s)
+		if len(got) != s {
+			t.Fatalf("trial %d: %d entries, want %d", trial, len(got), s)
+		}
+		for i, e := range got {
+			wantKey, wantID := 19-float64(i), uint64(109-i)
+			if i >= 10 {
+				wantKey, wantID = 5, uint64(i-9)
+			}
+			if e.Key != wantKey || e.Item.ID != wantID {
+				t.Fatalf("trial %d: rank %d is key %v id %d, want key %v id %d", trial, i, e.Key, e.Item.ID, wantKey, wantID)
+			}
+		}
+	}
+}

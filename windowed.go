@@ -104,11 +104,11 @@ func (a *windowedApp) Query(snaps Snapshots) WindowSample {
 			cov.Add(c)
 		})
 	}
-	// Everything below runs outside every ingest lock: sort the merged
-	// candidates (window.TopEntries — deterministic, key descending with
-	// ID tie-break) and truncate to s. Per-shard candidate sets sandwich
-	// their shard's true window top-s, so the merged top-s is exact
-	// (DESIGN.md §11).
+	// Everything below runs outside every ingest lock: select the top s
+	// of the merged candidates and sort them (window.TopEntries —
+	// deterministic, key descending with ID tie-break). Per-shard
+	// candidate sets sandwich their shard's true window top-s, so the
+	// merged top-s is exact (DESIGN.md §11).
 	entries = window.TopEntries(entries, a.s)
 	items := make([]Sampled, len(entries))
 	for i, e := range entries {
