@@ -18,7 +18,6 @@ import (
 	"wrs/internal/sample"
 	"wrs/internal/stream"
 	"wrs/internal/swr"
-	"wrs/internal/window"
 	"wrs/internal/xrand"
 )
 
@@ -544,26 +543,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[pos:])
-}
-
-// E14: the sliding-window extension (Section 6 open problem).
-func BenchmarkE14SlidingWindow(b *testing.B) {
-	const k, s, width, n = 4, 8, 2000, 20000
-	var msgs int64
-	for i := 0; i < b.N; i++ {
-		cl, err := window.NewSlideCluster(k, s, width, xrand.New(uint64(i)+70))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := xrand.New(uint64(i) + 71)
-		for j := 0; j < n; j++ {
-			it := stream.Item{ID: uint64(j), Weight: 1 + 9*rng.Float64()}
-			if err := cl.Feed(j%k, it); err != nil {
-				b.Fatal(err)
-			}
-		}
-		msgs += cl.Upstream + cl.Downstream
-	}
-	b.ReportMetric(float64(msgs)/float64(b.N), "msgs")
-	b.ReportMetric(float64(msgs)/float64(b.N)/float64(n), "msgs/update")
 }

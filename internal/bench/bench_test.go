@@ -2,13 +2,18 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/<ID>.csv from the current tables")
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
-		"E10", "E11", "E12", "E13", "E14", "E15", "E17", "A1", "A2", "A3", "A4"}
+		"E10", "E11", "E12", "E13", "E15", "E17", "A1", "A2", "A3", "A4"}
 	for _, id := range want {
 		if Find(id) == nil {
 			t.Errorf("experiment %s not registered", id)
@@ -50,8 +55,10 @@ func TestTableRendering(t *testing.T) {
 }
 
 // TestAllExperimentsQuick executes every experiment in quick mode: the
-// suite is the reproduction harness, so it must at minimum run to
-// completion and produce plausible tables.
+// suite is the reproduction harness, so it must run to completion,
+// produce plausible tables, and reproduce each table's CSV rendering
+// byte for byte from testdata/<ID>.csv (regenerate with -update after a
+// deliberate change to an experiment).
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep skipped in -short mode")
@@ -73,6 +80,22 @@ func TestAllExperimentsQuick(t *testing.T) {
 				if len(r) != len(table.Headers) {
 					t.Errorf("row width %d != header width %d", len(r), len(table.Headers))
 				}
+			}
+			var csv bytes.Buffer
+			table.Render(&csv, "csv")
+			golden := filepath.Join("testdata", e.ID+".csv")
+			if *update {
+				if err := os.WriteFile(golden, csv.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(csv.Bytes(), want) {
+				t.Errorf("table differs from %s:\ngot:\n%swant:\n%s", golden, csv.Bytes(), want)
 			}
 		})
 	}

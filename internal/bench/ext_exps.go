@@ -3,8 +3,6 @@ package bench
 import (
 	"wrs/internal/core"
 	"wrs/internal/stream"
-	"wrs/internal/window"
-	"wrs/internal/xrand"
 )
 
 func init() {
@@ -39,54 +37,6 @@ func init() {
 					base = msgs
 				}
 				t.AddRow(p.name, f1(msgs), f2(msgs/base))
-			}
-			return t
-		},
-	})
-	register(Experiment{
-		ID:    "E14",
-		Title: "Extension: distributed sliding-window weighted SWOR (Section 6 open problem)",
-		Run: func(quick bool) *Table {
-			t := &Table{
-				ID:         "E14",
-				Title:      "Exact window sampling over k sites: messages vs send-everything",
-				PaperClaim: "Posed as future work; no bound is claimed. This implementation is exact and empirically sublinear; threshold falls (expiring sample members) are the structural obstacle a message-optimal protocol must tame.",
-				Headers:    []string{"workload", "width", "messages", "msgs/update", "threshold falls", "max site buffer"},
-			}
-			n := 100000
-			if quick {
-				n = 30000
-			}
-			const k, s = 4, 8
-			for _, c := range []struct {
-				name  string
-				width int
-				wf    stream.WeightFn
-			}{
-				{"uniform", 2000, stream.UniformWeights(10)},
-				{"pareto-1.2", 2000, stream.ParetoWeights(1.2)},
-				{"heavy-head", 500, stream.HeavyHeadWeights(20, 1e9)},
-			} {
-				cl, err := window.NewSlideCluster(k, s, c.width, xrand.New(1401))
-				if err != nil {
-					panic(err)
-				}
-				rng := xrand.New(1402)
-				maxBuf := 0
-				for i := 0; i < n; i++ {
-					it := stream.Item{ID: uint64(i), Weight: c.wf(i, rng)}
-					if err := cl.Feed(i%k, it); err != nil {
-						panic(err)
-					}
-					for _, site := range cl.Sites {
-						if b := site.Buffered(); b > maxBuf {
-							maxBuf = b
-						}
-					}
-				}
-				total := cl.Upstream + cl.Downstream
-				t.AddRow(c.name, d(int64(c.width)), d(total),
-					f3(float64(total)/float64(n)), d(cl.Coord.Falls), d(int64(maxBuf)))
 			}
 			return t
 		},

@@ -271,14 +271,17 @@ func init() {
 			cfg := core.Config{K: 8, S: 8}
 			cfgOff := cfg
 			cfgOff.DisableLevelSets = true
-			for name, wf := range map[string]stream.WeightFn{
-				"unit":       stream.UnitWeights(),
-				"pareto-1.1": stream.ParetoWeights(1.1),
-				"heavy-head": stream.HeavyHeadWeights(5, 1e12),
+			for _, w := range []struct {
+				name string
+				wf   stream.WeightFn
+			}{
+				{"unit", stream.UnitWeights()},
+				{"pareto-1.1", stream.ParetoWeights(1.1)},
+				{"heavy-head", stream.HeavyHeadWeights(5, 1e12)},
 			} {
-				with := avgCoreMessages(cfg, n, 3, wf, stream.RoundRobin(cfg.K), 808)
-				without := avgCoreMessages(cfgOff, n, 3, wf, stream.RoundRobin(cfg.K), 808)
-				t.AddRow(name, f1(with), f1(without), f1(with-without))
+				with := avgCoreMessages(cfg, n, 3, w.wf, stream.RoundRobin(cfg.K), 808)
+				without := avgCoreMessages(cfgOff, n, 3, w.wf, stream.RoundRobin(cfg.K), 808)
+				t.AddRow(w.name, f1(with), f1(without), f1(with-without))
 			}
 			return t
 		},

@@ -14,7 +14,7 @@ import (
 // tree (netsim deterministic runtime, relay filter machines with the
 // top-s union merge on) and returns the cluster for inspection. Depth 0
 // is the flat baseline.
-func runTreeCore(cfg core.Config, fanout, depth, n int, wf stream.WeightFn, seed uint64) *netsim.TreeCluster[core.Message] {
+func runTreeCore(cfg core.Config, fanout, depth, n int, wf stream.WeightFn, seed uint64) *netsim.Cluster[core.Message] {
 	master := xrand.New(seed)
 	coord := core.NewCoordinator(cfg, master.Split())
 	sites := make([]netsim.Site[core.Message], cfg.K)
@@ -27,17 +27,10 @@ func runTreeCore(cfg core.Config, fanout, depth, n int, wf stream.WeightFn, seed
 		panic(err)
 	}
 	g := stream.NewGenerator(n, cfg.K, wf, stream.RoundRobin(cfg.K))
-	g.Reset()
-	rng := xrand.New(seed ^ 0xD1B54A32D192ED03)
-	for {
-		u, ok := g.Next(rng)
-		if !ok {
-			return cl
-		}
-		if err := cl.Feed(u.Site, u.Item); err != nil {
-			panic(err)
-		}
+	if err := cl.Run(g, xrand.New(seed^0xD1B54A32D192ED03)); err != nil {
+		panic(err)
 	}
+	return cl
 }
 
 func init() {

@@ -70,7 +70,7 @@ func init() {
 					d(int64(coord.Retained())), d(int64(maxKept)))
 			}
 			t.Notes = append(t.Notes,
-				"candidates+clocks = total upstream; downstream is always 0 (no broadcasts). Compare E14: the synchronous-round threshold protocol needs coordinator-driven flush rounds the runtime contract cannot express; the push-only protocol trades a constant factor of messages for running unchanged on every runtime and shard count.")
+				"candidates+clocks = total upstream; downstream is always 0 (no broadcasts). A synchronous-round threshold protocol would need coordinator-driven flush rounds the runtime contract cannot express; the push-only protocol runs unchanged on every runtime and shard count.")
 			return t
 		},
 	})

@@ -25,9 +25,8 @@ import (
 //     traversals (results sorted afterwards, pure counting) are
 //     annotated with //wrslint:allow detrand and a justification.
 //
-// The analyzer applies only to the deterministic-core packages listed
-// in detrandPkgs; transport and netsim are inherently timing-dependent
-// and are exempt.
+// The analyzer applies only to the deterministic packages listed in
+// detrandPkgs; transport is inherently timing-dependent and is exempt.
 var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc:  "forbids math/rand, wall-clock reads, and map-order iteration in the deterministic protocol packages",
@@ -47,6 +46,11 @@ var detrandPkgs = []string{
 	// runs; its wall-clock counterpart lives in workload/saturate,
 	// which is deliberately NOT listed.
 	"wrs/internal/workload",
+	// The deterministic driver the engine delivers through (its
+	// goroutine runtime reads no clock or map order either).
+	"wrs/internal/netsim",
+	// The experiment suite renders the reproduction tables.
+	"wrs/internal/bench",
 }
 
 func detrandApplies(path string) bool {

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"wrs/internal/stream"
-)
+import "fmt"
 
 // TreeRelay is the per-node state machine of a hierarchical aggregation
 // tree (package relay provides the protocol implementation). A relay
@@ -38,27 +34,38 @@ func ValidateTree(fanout, depth int) error {
 }
 
 // TreeTierSizes returns the relay count of each tier of a fanout-ary
-// aggregation tree over k sites, tier 0 being the root's children and
-// tier depth-1 the leaves the sites attach to. Tier t holds
-// min(fanout^(t+1), k) relays — no tier needs more nodes than there are
-// sites — so the root terminates min(fanout, k) connections instead of
-// k. A node at tier t+1 attaches to parent (node % size[t]), and site i
-// attaches to leaf (i % size[depth-1]): round-robin, seed-independent,
-// at most fanout children per node.
+// aggregation tree over k sites, tier 0 being the coordinator's
+// children and tier depth-1 the leaves the sites attach to. Tier t
+// holds min(fanout^(t+1), k) relays — no tier needs more nodes than
+// there are sites — so the root terminates min(fanout, k) connections
+// instead of k.
 func TreeTierSizes(k, fanout, depth int) []int {
 	sizes := make([]int, depth)
 	width := 1
 	for t := range sizes {
-		width *= fanout
-		if width > k {
-			width = k
+		if fanout > 0 && width > k/fanout {
+			width = k // clamp before multiplying: a huge fanout must not overflow
+		} else {
+			width *= fanout
 		}
 		sizes[t] = width
 	}
 	return sizes
 }
 
-// TreeTierStats is one tier's message accounting in a TreeCluster.
+// TreeParent is the tree's one wiring rule: node of tier attaches to
+// node TreeParent(sizes, tier, node) of tier-1, where tier len(sizes)
+// is the sites and tier 0 attaches to the coordinator (node 0).
+// Round-robin and seed-independent, it gives every parent at most
+// fanout children.
+func TreeParent(sizes []int, tier, node int) int {
+	if tier == 0 {
+		return 0
+	}
+	return node % sizes[tier-1]
+}
+
+// TreeTierStats is one relay tier's message accounting in a Cluster.
 type TreeTierStats struct {
 	Nodes     int   // relay nodes in this tier
 	In        int64 // messages entering the tier from below
@@ -68,170 +75,27 @@ type TreeTierStats struct {
 // Filtered returns the messages this tier swallowed.
 func (t TreeTierStats) Filtered() int64 { return t.In - t.Forwarded }
 
-// TreeCluster is the sequential, deterministic runtime over a
-// hierarchical relay tree: the netsim mirror of relay.TreeCluster, used
-// to pin tree exactness and message counts without network timing. A
-// site's messages climb through its leaf relay and that relay's
-// ancestors to the coordinator; broadcasts fan down through every relay
-// to every site. Because delivery is synchronous and relays only ever
-// pre-filter messages the coordinator would drop anyway, the
-// coordinator state — and therefore the broadcast sequence, the site
-// decisions, and Stats.Upstream — is bit-identical to the flat
-// Cluster's under the same seeds.
-type TreeCluster[M Msg] struct {
-	Coord  Coordinator[M]
-	Sites  []Site[M]
-	Relays [][]TreeRelay[M] // [tier][node]; tier 0 reports to the root
-	Stats  Stats
-
-	tierIn  [][]int64 // per [tier][node] messages in
-	tierFwd [][]int64 // per [tier][node] messages forwarded
-	sends   []func(M) // per-site upstream entry point
-	bcast   func(M)
-}
-
-// NewTreeCluster assembles a sequential tree cluster with depth relay
-// tiers of the given fanout; newRelay builds the state machine for each
-// node. Depth 0 is the flat topology (no relays, identical to
-// NewCluster).
-func NewTreeCluster[M Msg](coord Coordinator[M], sites []Site[M], fanout, depth int, newRelay func(tier, node int) TreeRelay[M]) (*TreeCluster[M], error) {
-	if err := ValidateTree(fanout, depth); err != nil {
-		return nil, err
-	}
-	if len(sites) == 0 {
-		return nil, fmt.Errorf("netsim: tree cluster with no sites")
-	}
-	c := &TreeCluster[M]{Coord: coord, Sites: sites}
-	sizes := TreeTierSizes(len(sites), fanout, depth)
-	c.Relays = make([][]TreeRelay[M], depth)
-	c.tierIn = make([][]int64, depth)
-	c.tierFwd = make([][]int64, depth)
-	for t, n := range sizes {
-		c.Relays[t] = make([]TreeRelay[M], n)
-		c.tierIn[t] = make([]int64, n)
-		c.tierFwd[t] = make([]int64, n)
-		for node := range c.Relays[t] {
-			c.Relays[t][node] = newRelay(t, node)
-		}
-	}
-	c.bcast = func(m M) {
-		k := int64(len(c.Sites))
-		c.Stats.Downstream += k
-		c.Stats.DownWords += int64(m.Words()) * k
-		for _, tier := range c.Relays {
-			for _, r := range tier {
-				r.Down(m)
-			}
-		}
-		for _, s := range c.Sites {
-			s.HandleBroadcast(m)
-		}
-	}
-	// into(t, node) is the delivery chain from tier t's node up to the
-	// coordinator; into(-1, 0) is the coordinator itself.
-	var into func(tier, node int) func(M)
-	into = func(tier, node int) func(M) {
-		if tier < 0 {
-			return func(m M) { c.Coord.HandleMessage(m, c.bcast) }
-		}
-		parent := 0
-		if tier > 0 {
-			parent = node % len(c.Relays[tier-1])
-		}
-		up := into(tier-1, parent)
-		r := c.Relays[tier][node]
-		in, fwd := &c.tierIn[tier][node], &c.tierFwd[tier][node]
-		return func(m M) {
-			*in++
-			r.Up(m, func(fm M) {
-				*fwd++
-				up(fm)
-			})
-		}
-	}
-	c.sends = make([]func(M), len(sites))
-	for i := range sites {
-		var deliver func(M)
-		if depth == 0 {
-			deliver = into(-1, 0)
-		} else {
-			deliver = into(depth-1, i%sizes[depth-1])
-		}
-		c.sends[i] = func(m M) {
-			c.Stats.Upstream++
-			c.Stats.UpWords += int64(m.Words())
-			deliver(m)
-		}
-	}
-	return c, nil
-}
-
-// K returns the number of sites.
-func (c *TreeCluster[M]) K() int { return len(c.Sites) }
-
-// Depth returns the number of relay tiers.
-func (c *TreeCluster[M]) Depth() int { return len(c.Relays) }
-
 // RootFanIn returns how many connections the coordinator terminates:
 // the top tier's node count, or k for the flat topology.
-func (c *TreeCluster[M]) RootFanIn() int {
-	if len(c.Relays) == 0 {
-		return len(c.Sites)
-	}
-	return len(c.Relays[0])
-}
+func (c *Cluster[M]) RootFanIn() int { return c.width(0) }
 
 // RootUpstream returns the messages that reached the coordinator — the
 // top tier's forwarded count, or Stats.Upstream for the flat topology.
 // The gap to Stats.Upstream (the site edge) is what relay pre-filtering
 // saved.
-func (c *TreeCluster[M]) RootUpstream() int64 {
+func (c *Cluster[M]) RootUpstream() int64 {
 	if len(c.Relays) == 0 {
 		return c.Stats.Upstream
 	}
-	var n int64
-	for _, v := range c.tierFwd[0] {
-		n += v
-	}
-	return n
+	return c.tierFwd[0]
 }
 
-// TierStats returns per-tier message accounting, tier 0 first.
-func (c *TreeCluster[M]) TierStats() []TreeTierStats {
+// TierStats returns per-tier message accounting, tier 0 first; empty
+// for the flat topology.
+func (c *Cluster[M]) TierStats() []TreeTierStats {
 	out := make([]TreeTierStats, len(c.Relays))
-	for t := range c.Relays {
-		st := TreeTierStats{Nodes: len(c.Relays[t])}
-		for node := range c.Relays[t] {
-			st.In += c.tierIn[t][node]
-			st.Forwarded += c.tierFwd[t][node]
-		}
-		out[t] = st
+	for t := range out {
+		out[t] = TreeTierStats{Nodes: c.sizes[t], In: c.tierIn[t], Forwarded: c.tierFwd[t]}
 	}
 	return out
-}
-
-// Feed delivers one arrival to a site and synchronously propagates
-// every resulting message up the tree and every broadcast down it.
-func (c *TreeCluster[M]) Feed(siteID int, it stream.Item) error {
-	if siteID < 0 || siteID >= len(c.Sites) {
-		return fmt.Errorf("netsim: site %d out of range [0,%d)", siteID, len(c.Sites))
-	}
-	return c.Sites[siteID].Observe(it, c.sends[siteID])
-}
-
-// FeedBatch delivers a slice of arrivals to a site in order, using the
-// site's native batch path when it has one.
-func (c *TreeCluster[M]) FeedBatch(siteID int, items []stream.Item) error {
-	if siteID < 0 || siteID >= len(c.Sites) {
-		return fmt.Errorf("netsim: site %d out of range [0,%d)", siteID, len(c.Sites))
-	}
-	if bs, ok := c.Sites[siteID].(BatchSite[M]); ok {
-		return bs.ObserveBatch(items, c.sends[siteID])
-	}
-	for _, it := range items {
-		if err := c.Sites[siteID].Observe(it, c.sends[siteID]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

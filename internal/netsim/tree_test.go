@@ -52,6 +52,7 @@ func TestTreeTierSizes(t *testing.T) {
 		{3, 2, 3, []int{2, 3, 3}},
 		{10, 2, 0, []int{}},
 		{1, 2, 2, []int{1, 1}},
+		{3, 1 << 62, 2, []int{3, 3}}, // fanout^2 would overflow
 	} {
 		got := TreeTierSizes(tc.k, tc.fanout, tc.depth)
 		if len(got) == 0 && len(tc.want) == 0 {
@@ -68,9 +69,7 @@ func TestTreeTierSizes(t *testing.T) {
 // edge, every site seeing every broadcast.
 func TestTreeClusterPassthroughMatchesFlat(t *testing.T) {
 	const k, n = 6, 240
-	feed := func(c interface {
-		Feed(int, stream.Item) error
-	}) {
+	feed := func(c *Cluster[testMsg]) {
 		for i := 0; i < n; i++ {
 			if err := c.Feed(i%k, stream.Item{ID: uint64(i), Weight: 1}); err != nil {
 				t.Fatal(err)
@@ -206,5 +205,136 @@ func TestTreeClusterErrors(t *testing.T) {
 	}
 	if err := tree.FeedBatch(-1, nil); err == nil {
 		t.Error("negative site accepted")
+	}
+}
+
+// quietSite, quietCoord and quietRelay are non-allocating fakes for the
+// allocation pins: the site sends one message per arrival, the
+// coordinator broadcasts every nth message, the relay forwards all.
+type quietSite struct{ id, seq, bcasts int }
+
+func (s *quietSite) Observe(_ stream.Item, send func(testMsg)) error {
+	s.seq++
+	send(testMsg{From: s.id, Seq: s.seq})
+	return nil
+}
+
+func (s *quietSite) HandleBroadcast(testMsg) { s.bcasts++ }
+
+type quietCoord struct{ n, received int }
+
+func (c *quietCoord) HandleMessage(_ testMsg, bcast func(testMsg)) {
+	c.received++
+	if c.received%c.n == 0 {
+		bcast(testMsg{Down: true, Seq: c.received})
+	}
+}
+
+type quietRelay struct{ downs int }
+
+func (r *quietRelay) Up(m testMsg, forward func(testMsg)) { forward(m) }
+func (r *quietRelay) Down(testMsg)                        { r.downs++ }
+
+func quietSites(k int) []Site[testMsg] {
+	sites := make([]Site[testMsg], k)
+	for i := range sites {
+		sites[i] = &quietSite{id: i}
+	}
+	return sites
+}
+
+var clusterSink *Cluster[testMsg]
+
+// The sequential runtime builds a flat cluster per Open and moves every
+// message through it, so both are pinned: a flat build is three
+// allocations (the cluster and its two entry points, never one per
+// site), and delivery — up the tree, through the coordinator, and
+// broadcast back down — allocates nothing.
+func TestClusterAllocations(t *testing.T) {
+	const k = 64
+	sites := quietSites(k)
+	coord := &quietCoord{n: 3}
+	if got := testing.AllocsPerRun(100, func() { clusterSink = NewCluster[testMsg](coord, sites) }); got != 3 {
+		t.Errorf("flat build at k=%d: %v allocations, want 3", k, got)
+	}
+	tree, err := NewTreeCluster[testMsg](coord, quietSites(k), 2, 2,
+		func(int, int) TreeRelay[testMsg] { return &quietRelay{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Cluster[testMsg]{NewCluster[testMsg](coord, sites), tree} {
+		i := 0
+		got := testing.AllocsPerRun(1000, func() {
+			if err := c.Feed(i%k, stream.Item{ID: uint64(i), Weight: 1}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got != 0 {
+			t.Errorf("depth %d: %v allocations per message, want 0", c.Depth(), got)
+		}
+	}
+	if coord.received == 0 || sites[0].(*quietSite).bcasts == 0 {
+		t.Fatal("the fakes exchanged no traffic")
+	}
+}
+
+// A link that queues every hop and delivers it later must see the hops
+// in the documented order — up through the site's leaf and that leaf's
+// ancestors; a broadcast to the root's children, then each arriving
+// relay's children in ascending order — and, drained FIFO, must leave
+// the machines exactly where inline delivery leaves them.
+func TestClusterLinkSeam(t *testing.T) {
+	const k = 5 // tiers of 2 and 4 relays
+	build := func() (*Cluster[testMsg], *countCoord) {
+		coord := &countCoord{n: 1}
+		c, err := NewTreeCluster[testMsg](coord, quietSites(k), 2, 2, passRelays(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, coord
+	}
+	inline, inlineCoord := build()
+	linked, linkedCoord := build()
+	type sent struct {
+		h Hop
+		m testMsg
+	}
+	var queue []sent
+	var hops []Hop
+	linked.Link = func(h Hop, m testMsg) {
+		hops = append(hops, h)
+		queue = append(queue, sent{h, m})
+	}
+	for _, c := range []*Cluster[testMsg]{inline, linked} {
+		if err := c.Feed(3, stream.Item{ID: 1, Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(queue) > 0 {
+		next := queue[0]
+		queue = queue[1:]
+		linked.Arrive(next.h, next.m)
+	}
+	up := func(t, n int) Hop { return Hop{Up: true, Tier: t, Node: n} }
+	down := func(t, n int) Hop { return Hop{Tier: t, Node: n} }
+	want := []Hop{
+		up(2, 3), up(1, 3), up(0, 1), // site 3 -> leaf 3 -> relay 1 -> coordinator
+		down(0, 0), down(0, 1), // the root's children
+		down(1, 0), down(1, 2), // relay (0,0)'s children
+		down(1, 1), down(1, 3), // relay (0,1)'s children
+		down(2, 0), down(2, 4), down(2, 2), down(2, 1), down(2, 3), // each leaf's sites
+	}
+	if !reflect.DeepEqual(hops, want) {
+		t.Errorf("hops\n%v\nwant\n%v", hops, want)
+	}
+	if linkedCoord.received != inlineCoord.received || linked.Stats != inline.Stats {
+		t.Errorf("linked run: received %d stats %+v; inline: received %d stats %+v",
+			linkedCoord.received, linked.Stats, inlineCoord.received, inline.Stats)
+	}
+	for i := range linked.Sites {
+		if l, in := linked.Sites[i].(*quietSite).bcasts, inline.Sites[i].(*quietSite).bcasts; l != 1 || in != 1 {
+			t.Errorf("site %d saw %d broadcasts linked, %d inline; want 1", i, l, in)
+		}
 	}
 }

@@ -46,7 +46,8 @@ import (
 // control-plane view (last broadcast threshold, saturated levels) used
 // for pre-filtering and child join snapshots, plus the optional top-s
 // merge heap. It implements netsim.TreeRelay[core.Message], so the
-// sequential tree cluster and the TCP relay share one filtering
+// deterministic driver (netsim.Cluster, under the sequential runtime
+// and the chaos engine alike) and the TCP relay share one filtering
 // implementation. Not safe for concurrent use; the TCP relay serializes
 // access under its parent-writer mutex.
 type Machine struct {

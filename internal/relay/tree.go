@@ -9,12 +9,13 @@ import (
 )
 
 // tiers is a relay tree under one coordinator address: depth tiers of
-// the given fanout, tier 0 attached to the server, leaf i%len(leaves)
-// serving site (or bench connection) i — round-robin, seed-independent.
+// the given fanout, tier 0 attached to the server, wired by
+// netsim.TreeParent down to the sites (or bench connections).
 type tiers struct {
 	cfg                   core.Config
 	shards, fanout, depth int
 	opts                  Options
+	sizes                 []int
 	nodes                 [][]*Relay
 }
 
@@ -27,14 +28,14 @@ func (t *tiers) dial(serverAddr string) (func(site int) string, func() error, er
 	if err := netsim.ValidateTree(t.fanout, t.depth); err != nil {
 		return nil, nil, err
 	}
+	t.sizes = netsim.TreeTierSizes(t.cfg.K, t.fanout, t.depth)
 	t.nodes = make([][]*Relay, t.depth)
-	for tier, n := range netsim.TreeTierSizes(t.cfg.K, t.fanout, t.depth) {
+	for tier, n := range t.sizes {
 		t.nodes[tier] = make([]*Relay, n)
 		for node := range t.nodes[tier] {
 			parentAddr := serverAddr
 			if tier > 0 {
-				parents := t.nodes[tier-1]
-				parentAddr = parents[node%len(parents)].Addr()
+				parentAddr = t.nodes[tier-1][netsim.TreeParent(t.sizes, tier, node)].Addr()
 			}
 			r, err := New(t.cfg, t.shards, parentAddr, "", t.opts)
 			if err != nil {
@@ -48,7 +49,7 @@ func (t *tiers) dial(serverAddr string) (func(site int) string, func() error, er
 		return func(int) string { return serverAddr }, t.close, nil
 	}
 	leaves := t.nodes[t.depth-1]
-	return func(site int) string { return leaves[site%len(leaves)].Addr() }, t.close, nil
+	return func(site int) string { return leaves[netsim.TreeParent(t.sizes, t.depth, site)].Addr() }, t.close, nil
 }
 
 // close tears the tiers down from the leaves up.
@@ -67,9 +68,9 @@ func (t *tiers) close() error {
 // IngestTier adapts the relay fabric to transport.IngestBenchOpts
 // .TreeDial: it returns a hook that builds depth tiers of the given
 // fanout over the bench server's address and routes bench connection i
-// to leaf relay i mod leaves — the same topology NewTreeCluster gives
-// sites. cfg must match the bench's server configuration (relay filter
-// machines size their top-s from cfg.S).
+// to its leaf relay by netsim.TreeParent — the same topology
+// NewTreeCluster gives sites. cfg must match the bench's server
+// configuration (relay filter machines size their top-s from cfg.S).
 func IngestTier(cfg core.Config, shards, fanout, depth int, opts Options) func(serverAddr string) (func(conn int) string, func() error, error) {
 	return func(serverAddr string) (func(conn int) string, func() error, error) {
 		t := &tiers{cfg: cfg, shards: shards, fanout: fanout, depth: depth, opts: opts}
@@ -109,8 +110,8 @@ type TreeCluster struct {
 // NewTreeCluster starts a coordinator server hosting len(protos)
 // protocol shards on addr ("127.0.0.1:0" when empty), builds depth
 // relay tiers of the given fanout beneath it, and connects one
-// multiplexing SiteClient per site to its leaf relay (site i attaches
-// to leaf i mod leaves — round-robin, seed-independent). machines is
+// multiplexing SiteClient per site to its leaf relay (wired by
+// netsim.TreeParent — round-robin, seed-independent). machines is
 // indexed [shard][site]. The top-s union merge is enabled on every
 // relay only when every shard protocol has opted in via the
 // UnionTopSMergeable marker; the threshold pre-filter is always on. On

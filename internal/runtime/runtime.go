@@ -9,7 +9,8 @@
 //
 //   - Sequential: the deterministic synchronous simulator
 //     (netsim.Cluster) — the model analyzed in the paper; every
-//     message-complexity experiment runs on it.
+//     message-complexity experiment runs on it. SequentialTree is the
+//     same driver over a relay tree.
 //   - Goroutines: the in-process asynchronous runtime
 //     (netsim.ConcurrentCluster) — one goroutine per site, FIFO links.
 //   - TCP: the deployment-shaped runtime (transport.Cluster) — a real
@@ -27,6 +28,7 @@ import (
 
 	"wrs/internal/core"
 	"wrs/internal/netsim"
+	"wrs/internal/relay"
 	"wrs/internal/stream"
 	"wrs/internal/transport"
 )
@@ -86,10 +88,32 @@ type Factory func(inst Instance) (Runtime, error)
 
 // Sequential returns the deterministic synchronous runtime: messages
 // and broadcasts are delivered inline inside Feed, exactly the model of
-// Section 2.1. Single-goroutine use only.
-func Sequential() Factory {
+// Section 2.1. It is SequentialTree's flat (depth-0) case.
+// Single-goroutine use only.
+func Sequential() Factory { return sequential }
+
+// sequential is built once: a Factory is a closure, and Open calls
+// Sequential() afresh for every handle.
+var sequential = SequentialTree(0, 0)
+
+// SequentialTree returns the deterministic synchronous runtime over a
+// hierarchical relay tree (netsim.NewTreeCluster with relay.Machine
+// nodes): messages climb the tree and broadcasts fan down inline inside
+// Feed, with relay pre-filtering on the way up. Because relays only
+// drop messages the coordinator would drop on arrival anyway,
+// coordinator state, the broadcast sequence, and site-edge Stats are
+// bit-identical to Sequential under the same seeds. The top-s union
+// merge engages only when the instance's coordinator has opted in
+// (relay.UnionMergeable). Single-goroutine use only.
+func SequentialTree(fanout, depth int) Factory {
 	return func(inst Instance) (Runtime, error) {
-		return &seqRuntime{c: netsim.NewCluster[core.Message](inst.Coord, inst.Sites)}, nil
+		s, merge := inst.Cfg.S, relay.UnionMergeable(inst.Coord)
+		c, err := netsim.NewTreeCluster[core.Message](inst.Coord, inst.Sites, fanout, depth,
+			func(int, int) netsim.TreeRelay[core.Message] { return relay.NewMachine(s, merge) })
+		if err != nil {
+			return nil, err
+		}
+		return &seqRuntime{c: c}, nil
 	}
 }
 

@@ -5,60 +5,8 @@ import (
 	"wrs/internal/fabric"
 	"wrs/internal/netsim"
 	"wrs/internal/relay"
-	"wrs/internal/stream"
 	"wrs/internal/transport"
 )
-
-// SequentialTree returns the deterministic synchronous runtime over a
-// hierarchical relay tree (netsim.TreeCluster with relay.Machine
-// nodes): identical delivery semantics to Sequential — messages climb
-// the tree and broadcasts fan down inline inside Feed — plus relay
-// pre-filtering on the way up. Because relays only drop messages the
-// coordinator would drop on arrival anyway, coordinator state, the
-// broadcast sequence, and site-edge Stats are bit-identical to
-// Sequential under the same seeds; depth 0 is exactly Sequential. The
-// top-s union merge engages only when the instance's coordinator has
-// opted in (relay.UnionMergeable). Single-goroutine use only.
-func SequentialTree(fanout, depth int) Factory {
-	return func(inst Instance) (Runtime, error) {
-		merge := relay.UnionMergeable(inst.Coord)
-		c, err := netsim.NewTreeCluster[core.Message](inst.Coord, inst.Sites, fanout, depth,
-			func(tier, node int) netsim.TreeRelay[core.Message] {
-				return relay.NewMachine(inst.Cfg.S, merge)
-			})
-		if err != nil {
-			return nil, err
-		}
-		return &seqTreeRuntime{c: c}, nil
-	}
-}
-
-// seqTreeRuntime adapts netsim.TreeCluster, mirroring seqRuntime.
-type seqTreeRuntime struct {
-	c      *netsim.TreeCluster[core.Message]
-	closed bool
-}
-
-func (r *seqTreeRuntime) Feed(site int, it stream.Item) error {
-	if r.closed {
-		return errClosed
-	}
-	return r.c.Feed(site, it)
-}
-func (r *seqTreeRuntime) FeedBatch(site int, items []stream.Item) error {
-	if r.closed {
-		return errClosed
-	}
-	return r.c.FeedBatch(site, items)
-}
-func (r *seqTreeRuntime) Flush() error        { return nil }
-func (r *seqTreeRuntime) Stats() netsim.Stats { return r.c.Stats }
-func (r *seqTreeRuntime) Do(fn func())        { fn() }
-func (r *seqTreeRuntime) Close() error        { r.closed = true; return nil }
-
-// Tree exposes the underlying cluster for tier-level accounting
-// (RootFanIn, RootUpstream, TierStats) in experiments and tests.
-func (r *seqTreeRuntime) Tree() *netsim.TreeCluster[core.Message] { return r.c }
 
 // TCPTree returns the deployment-shaped runtime over a hierarchical
 // relay tree: a CoordinatorServer on addr ("127.0.0.1:0" when empty),

@@ -73,11 +73,6 @@ type Sampler struct {
 	KeyHook func(id uint64, key float64)
 }
 
-type entry struct {
-	Entry
-	dominators int // later items with larger keys (monotone)
-}
-
 // New returns a sliding-window sampler with sample size s and window
 // width in items.
 func New(s, width int, rng *xrand.RNG) (*Sampler, error) {

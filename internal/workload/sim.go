@@ -31,21 +31,21 @@ import (
 // inject. See DESIGN.md §15 for the soundness arguments, §15.5–§15.7
 // for the L1, windowed and relay-tree extensions.
 //
-// With Scenario.Depth > 0 the messages route through a relay tree of
-// per-(tier, node, shard) relay.Machine filters (threshold pre-filter
-// always; top-s union merge only when the coordinator type opts in),
-// with per-edge link models and severable parent edges — the virtual
-// mirror of the TCP relay fabric of DESIGN.md §14.
+// Each shard runs on its own netsim.Cluster — the same driver as the
+// Sequential runtime — whose Link seam the engine fills: every copy a
+// cluster sends crosses one edge under a link model and lands later as
+// an event. With Scenario.Depth > 0 the clusters are relay trees of
+// relay.Machine filters (threshold pre-filter always; top-s union merge
+// only when the coordinator type opts in), with per-edge link models
+// and severable parent edges — the virtual mirror of the TCP relay
+// fabric of DESIGN.md §14.
 
 type eventKind uint8
 
 const (
 	evArrival eventKind = iota
-	evUp
-	evDown
+	evHop
 	evFault
-	evUpRelay
-	evDownRelay
 )
 
 type event struct {
@@ -53,11 +53,9 @@ type event struct {
 	seq   uint64
 	kind  eventKind
 	upd   TimedUpdate  // evArrival
-	shard int          // evUp, evDown, ev*Relay
-	site  int          // evDown
-	tier  int          // ev*Relay
-	node  int          // ev*Relay
-	msg   core.Message // evUp, evDown, ev*Relay
+	shard int          // evHop
+	hop   netsim.Hop   // evHop
+	msg   core.Message // evHop
 	fault Fault        // evFault
 }
 
@@ -199,12 +197,6 @@ func RunApp[Q any](sc Scenario, app wrs.App[Q]) (*Result, Q, error) {
 	if err != nil {
 		return nil, zero, err
 	}
-	sites := make([][]netsim.Site[core.Message], shards)
-	cfgs := make([]core.Config, shards)
-	for p, inst := range insts {
-		sites[p] = inst.Sites
-		cfgs[p] = inst.Cfg
-	}
 
 	// Engine RNGs come from a salted seed, NOT from the app's master:
 	// the workload, the network and the join randomness are then
@@ -219,41 +211,40 @@ func RunApp[Q any](sc Scenario, app wrs.App[Q]) (*Result, Q, error) {
 	}
 
 	eng := &engine{
-		shards:  shards,
 		fam:     fam,
-		sites:   sites,
-		cfgs:    cfgs,
 		alive:   make([]bool, sc.K),
 		up:      sc.Up,
 		down:    sc.Down,
 		netRNG:  netRNG,
 		joinRNG: joinRNG,
-		depth:   sc.Depth,
 	}
 	for i := range eng.alive {
 		eng.alive[i] = true
 	}
 	if sc.Depth > 0 {
 		eng.sizes = netsim.TreeTierSizes(sc.K, sc.Fanout, sc.Depth)
-		eng.relays = make([][][]*relay.Machine, sc.Depth)
 		eng.severed = make([][]bool, sc.Depth)
 		eng.edgeUp = make([][]netsim.LinkModel, sc.Depth)
 		eng.edgeDown = make([][]netsim.LinkModel, sc.Depth)
-		for t := 0; t < sc.Depth; t++ {
-			eng.relays[t] = make([][]*relay.Machine, eng.sizes[t])
-			eng.severed[t] = make([]bool, eng.sizes[t])
-			eng.edgeUp[t] = make([]netsim.LinkModel, eng.sizes[t])
-			eng.edgeDown[t] = make([]netsim.LinkModel, eng.sizes[t])
-			for node := 0; node < eng.sizes[t]; node++ {
+		for t, n := range eng.sizes {
+			eng.severed[t] = make([]bool, n)
+			eng.edgeUp[t] = make([]netsim.LinkModel, n)
+			eng.edgeDown[t] = make([]netsim.LinkModel, n)
+			for node := 0; node < n; node++ {
 				eng.edgeUp[t][node] = sc.EdgeUp
 				eng.edgeDown[t][node] = sc.EdgeDown
-				machines := make([]*relay.Machine, shards)
-				for p := 0; p < shards; p++ {
-					machines[p] = relay.NewMachine(cfgs[p].S, relay.UnionMergeable(fam.proto(p)))
-				}
-				eng.relays[t][node] = machines
 			}
 		}
+	}
+	for p, inst := range insts {
+		merge := relay.UnionMergeable(fam.proto(p))
+		cl, err := netsim.NewTreeCluster[core.Message](shardCoord{eng, p}, inst.Sites, sc.Fanout, sc.Depth,
+			func(int, int) netsim.TreeRelay[core.Message] { return relay.NewMachine(inst.Cfg.S, merge) })
+		if err != nil {
+			return nil, zero, err
+		}
+		cl.Link = eng.link(p)
+		eng.clusters = append(eng.clusters, cl)
 	}
 	for _, f := range sc.Faults {
 		eng.push(&event{at: f.At, kind: evFault, fault: f})
@@ -266,35 +257,52 @@ func RunApp[Q any](sc Scenario, app wrs.App[Q]) (*Result, Q, error) {
 		return nil, zero, err
 	}
 
+	for _, cl := range eng.clusters {
+		for _, ts := range cl.TierStats() {
+			eng.stats.RelayFiltered += int(ts.Filtered())
+		}
+	}
 	res := &Result{Scenario: sc.Name, Engine: eng.stats, Shards: fam.results()}
 	answer := app.Query(soloSnaps{n: shards})
 	return res, answer, nil
 }
 
 type engine struct {
-	shards  int
-	fam     family
-	sites   [][]netsim.Site[core.Message]
-	cfgs    []core.Config
-	alive   []bool
-	up      netsim.LinkModel
-	down    netsim.LinkModel
-	netRNG  *xrand.RNG
-	joinRNG *xrand.RNG
+	fam      family
+	clusters []*netsim.Cluster[core.Message] // one per shard
+	alive    []bool
+	up       netsim.LinkModel // site edges
+	down     netsim.LinkModel
+	netRNG   *xrand.RNG
+	joinRNG  *xrand.RNG
 
-	// Relay tree (depth > 0): per-(tier, node) filter machines (one per
-	// shard), severed-edge flags, and parent-edge link models.
-	depth    int
+	// Relay tree (depth > 0): per-(tier, node) state of each relay's
+	// parent edge.
 	sizes    []int
-	relays   [][][]*relay.Machine
 	severed  [][]bool
 	edgeUp   [][]netsim.LinkModel
 	edgeDown [][]netsim.LinkModel
+
+	// replaying routes hops inline, and only over open edges: a
+	// reparent's snapshot rides the reattachment, not the lossy links.
+	replaying bool
 
 	heap  eventHeap
 	seq   uint64
 	now   float64
 	stats EngineStats
+}
+
+// shardCoord is shard p's coordinator as its cluster sees it: the
+// family's acknowledged delivery, counted.
+type shardCoord struct {
+	e *engine
+	p int
+}
+
+func (c shardCoord) HandleMessage(m core.Message, bcast func(core.Message)) {
+	c.e.stats.UpDelivered++
+	c.e.fam.handle(c.p, m, bcast)
 }
 
 func (e *engine) push(ev *event) {
@@ -316,14 +324,16 @@ func (e *engine) run(src Source) error {
 			if u, ok := src.Next(); ok {
 				e.push(&event{at: u.At, kind: evArrival, upd: u})
 			}
-		case evUp:
-			e.deliverUp(ev.shard, ev.msg)
-		case evDown:
-			e.deliverDown(ev.shard, ev.site, ev.msg)
-		case evUpRelay:
-			e.deliverUpRelay(ev.tier, ev.node, ev.shard, ev.msg)
-		case evDownRelay:
-			e.deliverDownRelay(ev.tier, ev.node, ev.shard, ev.msg)
+		case evHop:
+			if !ev.hop.Up && ev.hop.Tier == len(e.sizes) {
+				// A broadcast copy landing on a site that crashed in flight.
+				if !e.alive[ev.hop.Node] {
+					e.stats.DownToDead++
+					continue
+				}
+				e.stats.DownDelivered++
+			}
+			e.clusters[ev.shard].Arrive(ev.hop, ev.msg)
 		case evFault:
 			if err := e.applyFault(ev.fault); err != nil {
 				return err
@@ -333,146 +343,69 @@ func (e *engine) run(src Source) error {
 	return nil
 }
 
-// leafOf returns the leaf relay site i attaches to (round-robin, the
-// netsim.TreeCluster wiring).
-func (e *engine) leafOf(site int) int { return site % e.sizes[e.depth-1] }
-
-// parentOf returns the parent node index of relay (t, node) for t > 0.
-func (e *engine) parentOf(t, node int) int { return node % e.sizes[t-1] }
-
 func (e *engine) arrive(u TimedUpdate) error {
 	e.stats.Arrivals++
 	if !e.alive[u.Site] {
 		e.stats.DroppedArrivals++
 		return nil
 	}
-	p := fabric.ShardOf(u.Item.ID, e.shards)
-	return e.sites[p][u.Site].Observe(u.Item, func(m core.Message) {
-		if e.up.Lose(e.netRNG) {
-			e.stats.UpLost++
-			return
-		}
-		at := e.now + e.up.Delay(e.netRNG)
-		if e.depth == 0 {
-			e.push(&event{at: at, kind: evUp, shard: p, msg: m})
-			return
-		}
-		e.push(&event{at: at, kind: evUpRelay, tier: e.depth - 1, node: e.leafOf(u.Site), shard: p, msg: m})
-	})
+	return e.clusters[fabric.ShardOf(u.Item.ID, len(e.clusters))].Feed(u.Site, u.Item)
 }
 
-// deliverUpRelay runs one upstream message through relay (t, node)'s
-// shard filter; survivors cross the parent edge (severed check, then
-// loss/delay) toward tier t-1 or the coordinator.
-func (e *engine) deliverUpRelay(t, node, p int, m core.Message) {
-	passed := false
-	e.relays[t][node][p].Up(m, func(fm core.Message) {
-		passed = true
-		if e.severed[t][node] {
-			e.stats.SeveredUp++
-			return
-		}
-		lm := e.edgeUp[t][node]
-		if lm.Lose(e.netRNG) {
-			e.stats.UpLost++
-			return
-		}
-		at := e.now + lm.Delay(e.netRNG)
-		if t == 0 {
-			e.push(&event{at: at, kind: evUp, shard: p, msg: fm})
-			return
-		}
-		e.push(&event{at: at, kind: evUpRelay, tier: t - 1, node: e.parentOf(t, node), shard: p, msg: fm})
-	})
-	if !passed {
-		e.stats.RelayFiltered++
+// edge returns the link model of the edge hop h crosses — a site edge
+// (the scenario-wide models) or a relay's parent edge — and whether a
+// copy may cross it now: never into a crashed site, never over a
+// severed edge.
+func (e *engine) edge(h netsim.Hop) (netsim.LinkModel, bool) {
+	switch {
+	case h.Tier == len(e.sizes) && h.Up:
+		return e.up, true
+	case h.Tier == len(e.sizes):
+		return e.down, e.alive[h.Node]
+	case h.Up:
+		return e.edgeUp[h.Tier][h.Node], !e.severed[h.Tier][h.Node]
+	default:
+		return e.edgeDown[h.Tier][h.Node], !e.severed[h.Tier][h.Node]
 	}
 }
 
-func (e *engine) deliverUp(p int, m core.Message) {
-	e.stats.UpDelivered++
-	e.fam.handle(p, m, func(b core.Message) { e.broadcast(p, b) })
-}
-
-// broadcast fans one coordinator announcement down: directly to every
-// live site on a flat topology, through the root edges and relay tiers
-// on a tree.
-func (e *engine) broadcast(p int, b core.Message) {
-	if e.depth == 0 {
-		for i := range e.sites[p] {
-			if !e.alive[i] {
+// link returns shard p's seam: a copy crossing an open edge is lost or
+// delayed by the edge's model and lands as an evHop event.
+func (e *engine) link(p int) func(netsim.Hop, core.Message) {
+	return func(h netsim.Hop, m core.Message) {
+		lm, open := e.edge(h)
+		if e.replaying {
+			if open {
+				e.clusters[p].Arrive(h, m)
+			}
+			return
+		}
+		if !open {
+			switch {
+			case h.Tier == len(e.sizes):
 				e.stats.DownToDead++
-				continue
-			}
-			if e.down.Lose(e.netRNG) {
-				e.stats.DownLost++
-				continue
-			}
-			e.push(&event{at: e.now + e.down.Delay(e.netRNG), kind: evDown, shard: p, site: i, msg: b})
-		}
-		return
-	}
-	for node := 0; node < e.sizes[0]; node++ {
-		if e.severed[0][node] {
-			e.stats.SeveredDown++
-			continue
-		}
-		lm := e.edgeDown[0][node]
-		if lm.Lose(e.netRNG) {
-			e.stats.DownLost++
-			continue
-		}
-		e.push(&event{at: e.now + lm.Delay(e.netRNG), kind: evDownRelay, tier: 0, node: node, shard: p, msg: b})
-	}
-}
-
-// deliverDownRelay records the broadcast on relay (t, node)'s monotone
-// control-plane view and fans it further down: to child relays over
-// their parent edges, or — at the leaf tier — to the node's live sites
-// over the site-edge model.
-func (e *engine) deliverDownRelay(t, node, p int, m core.Message) {
-	e.relays[t][node][p].Down(m)
-	if t < e.depth-1 {
-		for child := 0; child < e.sizes[t+1]; child++ {
-			if e.parentOf(t+1, child) != node {
-				continue
-			}
-			if e.severed[t+1][child] {
+			case h.Up:
+				e.stats.SeveredUp++
+			default:
 				e.stats.SeveredDown++
-				continue
 			}
-			lm := e.edgeDown[t+1][child]
-			if lm.Lose(e.netRNG) {
+			return
+		}
+		if lm.Lose(e.netRNG) {
+			if h.Up {
+				e.stats.UpLost++
+			} else {
 				e.stats.DownLost++
-				continue
 			}
-			e.push(&event{at: e.now + lm.Delay(e.netRNG), kind: evDownRelay, tier: t + 1, node: child, shard: p, msg: m})
+			return
 		}
-		return
-	}
-	for i := range e.sites[p] {
-		if e.leafOf(i) != node {
-			continue
-		}
-		if !e.alive[i] {
-			e.stats.DownToDead++
-			continue
-		}
-		if e.down.Lose(e.netRNG) {
-			e.stats.DownLost++
-			continue
-		}
-		e.push(&event{at: e.now + e.down.Delay(e.netRNG), kind: evDown, shard: p, site: i, msg: m})
+		e.push(&event{at: e.now + lm.Delay(e.netRNG), kind: evHop, shard: p, hop: h, msg: m})
 	}
 }
 
-func (e *engine) deliverDown(p, site int, m core.Message) {
-	if !e.alive[site] {
-		e.stats.DownToDead++
-		return
-	}
-	e.stats.DownDelivered++
-	e.sites[p][site].HandleBroadcast(m)
+// relayAt returns shard p's relay machine at (t, node).
+func (e *engine) relayAt(p, t, node int) *relay.Machine {
+	return e.clusters[p].Relays[t][node].(*relay.Machine)
 }
 
 func (e *engine) applyFault(f Fault) error {
@@ -487,18 +420,18 @@ func (e *engine) applyFault(f Fault) error {
 		// coordinator's on a flat topology — both safe (the relay's
 		// view is a subset of the coordinator's, and replaying less
 		// only makes the site send more).
-		for p := range e.sites {
-			ns, err := e.fam.newSite(p, f.Site, e.sites[p][f.Site], e.joinRNG.Split())
+		for p, cl := range e.clusters {
+			ns, err := e.fam.newSite(p, f.Site, cl.Sites[f.Site], e.joinRNG.Split())
 			if err != nil {
 				return err
 			}
 			replay := func(m core.Message) { ns.HandleBroadcast(m) }
-			if e.depth > 0 {
-				e.relays[e.depth-1][e.leafOf(f.Site)][p].Snapshot(replay)
+			if depth := len(e.sizes); depth > 0 {
+				e.relayAt(p, depth-1, netsim.TreeParent(e.sizes, depth, f.Site)).Snapshot(replay)
 			} else {
 				e.fam.controlSnapshot(p, replay)
 			}
-			e.sites[p][f.Site] = ns
+			cl.Sites[f.Site] = ns
 		}
 		e.alive[f.Site] = true
 		e.stats.Joins++
@@ -533,48 +466,24 @@ func (e *engine) applyFault(f Fault) error {
 // reattach replays the parent's monotone control-plane snapshot down
 // the re-attached subtree, mirroring the TCP relay's child-join path:
 // the snapshot rides connection registration (reliable, instant), not
-// the lossy broadcast fan-down. Because broadcasts are monotone —
-// thresholds only rise, saturations only set — replaying state the
-// subtree partially has can never move any view backwards, and a
-// coordinator restart having rewound the live threshold does not make
-// the replay unsafe: the relay's recorded threshold was genuinely
-// broadcast, so everything it pre-filters had s released dominators
-// when that bound was issued (DESIGN.md §14/§15.7).
+// the lossy broadcast fan-down, and a severed child or crashed site
+// below stays partitioned (it gets its own replay when it reattaches or
+// joins). Because broadcasts are monotone — thresholds only rise,
+// saturations only set — replaying state the subtree partially has can
+// never move any view backwards, and a coordinator restart having
+// rewound the live threshold does not make the replay unsafe: the
+// relay's recorded threshold was genuinely broadcast, so everything it
+// pre-filters had s released dominators when that bound was issued
+// (DESIGN.md §14/§15.7).
 func (e *engine) reattach(t, node int) {
-	for p := 0; p < e.shards; p++ {
-		var msgs []core.Message
-		emit := func(m core.Message) { msgs = append(msgs, m) }
+	e.replaying = true
+	defer func() { e.replaying = false }()
+	for p, cl := range e.clusters {
+		replay := func(m core.Message) { cl.Arrive(netsim.Hop{Tier: t, Node: node}, m) }
 		if t == 0 {
-			e.fam.controlSnapshot(p, emit)
+			e.fam.controlSnapshot(p, replay)
 		} else {
-			e.relays[t-1][e.parentOf(t, node)][p].Snapshot(emit)
-		}
-		e.replayDownSubtree(t, node, p, msgs)
-	}
-}
-
-// replayDownSubtree applies snapshot messages to relay (t, node) and
-// everything below it that is currently attached; a severed child stays
-// partitioned and will get its own replay when it reattaches.
-func (e *engine) replayDownSubtree(t, node, p int, msgs []core.Message) {
-	for _, m := range msgs {
-		e.relays[t][node][p].Down(m)
-	}
-	if t < e.depth-1 {
-		for child := 0; child < e.sizes[t+1]; child++ {
-			if e.parentOf(t+1, child) != node || e.severed[t+1][child] {
-				continue
-			}
-			e.replayDownSubtree(t+1, child, p, msgs)
-		}
-		return
-	}
-	for i := range e.sites[p] {
-		if e.leafOf(i) != node || !e.alive[i] {
-			continue
-		}
-		for _, m := range msgs {
-			e.sites[p][i].HandleBroadcast(m)
+			e.relayAt(p, t-1, netsim.TreeParent(e.sizes, t, node)).Snapshot(replay)
 		}
 	}
 }

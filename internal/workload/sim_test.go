@@ -1,10 +1,59 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 )
+
+var updatePins = flag.Bool("update", false, "rewrite "+pinFile+" from the current engine")
+
+// pinFile holds one hash of (result fingerprint, answer) per run of the
+// full-size scenario matrix. Two runs inside one build agreeing cannot
+// catch a change to the engine that alters every run the same way; a
+// hash recorded from a known-good engine can.
+const pinFile = "testdata/engine_pins.txt"
+
+// enginePins checks runs against pinFile, or records them under -update.
+type enginePins struct {
+	want  map[string]string
+	lines []string
+}
+
+func loadEnginePins(t *testing.T) *enginePins {
+	p := &enginePins{want: map[string]string{}}
+	if *updatePins {
+		t.Cleanup(func() {
+			if err := os.WriteFile(pinFile, []byte(strings.Join(p.lines, "\n")+"\n"), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+		return p
+	}
+	b, err := os.ReadFile(pinFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		name, hash, _ := strings.Cut(line, " ")
+		p.want[name] = hash
+	}
+	return p
+}
+
+func (p *enginePins) check(t *testing.T, name string, res *Result, answer string) {
+	sum := sha256.Sum256([]byte(res.Fingerprint() + "\n" + answer))
+	got := hex.EncodeToString(sum[:8])
+	p.lines = append(p.lines, name+" "+got)
+	if !*updatePins && p.want[name] != got {
+		t.Errorf("run %s hashes to %s, pinned %q", name, got, p.want[name])
+	}
+}
 
 // scale shrinks scenario streams in -short mode (the CI race smoke)
 // while keeping every fault inside the stream.
@@ -20,8 +69,13 @@ func scale(sc Scenario, short bool) Scenario {
 // criterion — final per-shard query equals the brute-force top-s oracle
 // over acknowledged updates — and (2) be deterministic: a second run
 // with the same seed reproduces the identical result fingerprint and
-// application answer.
+// application answer. Outside -short mode every run, and a matrix of
+// fuzzer-drawn scenarios, must also reproduce its hash in pinFile.
 func TestScenariosExactAndDeterministic(t *testing.T) {
+	var pins *enginePins
+	if !testing.Short() {
+		pins = loadEnginePins(t)
+	}
 	for _, base := range Builtin() {
 		for _, app := range AppNames() {
 			for _, shards := range []int{1, 2} {
@@ -46,6 +100,34 @@ func TestScenariosExactAndDeterministic(t *testing.T) {
 					if ans1 != ans2 {
 						t.Errorf("nondeterministic answer:\nrun1: %s\nrun2: %s", ans1, ans2)
 					}
+					if pins != nil {
+						pins.check(t, name, res1, ans1)
+					}
+				})
+			}
+		}
+	}
+	if pins == nil {
+		return
+	}
+	// Fuzzer-drawn schedules reach fault mixes (relay severing under
+	// loss, restarts on trees) that the built-ins do not.
+	for seed := uint64(1); seed <= 20; seed++ {
+		base := FuzzScenario(DefaultFuzzConfig(), seed)
+		for _, app := range FuzzApps() {
+			for _, shards := range []int{1, 2} {
+				sc := base
+				sc.Shards = shards
+				name := fmt.Sprintf("fuzz-%d/%s/shards=%d", seed, app, shards)
+				t.Run(name, func(t *testing.T) {
+					res, ans, err := RunNamed(sc, app)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := res.Err(); err != nil {
+						t.Fatalf("exactness violated: %v", err)
+					}
+					pins.check(t, name, res, ans)
 				})
 			}
 		}

@@ -257,3 +257,22 @@ func TestTreeQuantilesMatrix(t *testing.T) {
 		}
 	}
 }
+
+// A fanout whose square overflows int is a valid shape: Open must build
+// it (every tier clamps at k) and run, not size a tier negative and
+// panic.
+func TestSequentialTreeHugeFanout(t *testing.T) {
+	h, err := Open(Sampler(3, 2), WithRuntime(SequentialTree(1<<62, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	for i := 0; i < 100; i++ {
+		if err := h.Observe(i%3, Item{ID: uint64(i), Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(h.Query()); got != 2 {
+		t.Errorf("sample holds %d items, want 2", got)
+	}
+}
