@@ -11,7 +11,7 @@ import (
 // The bit-identical pinning suites (equivalence_test.go, the
 // cross-runtime exactness matrices) and reproducible experiments all
 // assume that protocol state evolves as a pure function of the input
-// stream and the injected xrand split streams. Three things silently
+// stream and the injected xrand split streams. Four things silently
 // break that:
 //
 //   - math/rand (v1 or v2): ambient, unseeded or globally seeded
@@ -19,6 +19,10 @@ import (
 //     order;
 //   - time.Now/Since/Until: wall-clock reads that make state depend
 //     on scheduling;
+//   - time.Sleep/After/Tick/NewTimer/NewTicker/AfterFunc: wall-clock
+//     waits. Code here that must wait for other goroutines (the
+//     goroutine runtime's Flush barrier) waits on the event it needs,
+//     not on the clock;
 //   - ranging over a map: Go randomizes map iteration order per run,
 //     so any map traversal that feeds protocol state, message order,
 //     or query output is a nondeterminism leak. Order-insensitive
@@ -29,7 +33,7 @@ import (
 // detrandPkgs; transport is inherently timing-dependent and is exempt.
 var DetRand = &Analyzer{
 	Name: "detrand",
-	Doc:  "forbids math/rand, wall-clock reads, and map-order iteration in the deterministic protocol packages",
+	Doc:  "forbids math/rand, wall-clock reads and waits, and map-order iteration in the deterministic protocol packages",
 	Run:  runDetRand,
 }
 
@@ -47,7 +51,8 @@ var detrandPkgs = []string{
 	// which is deliberately NOT listed.
 	"wrs/internal/workload",
 	// The deterministic driver the engine delivers through (its
-	// goroutine runtime reads no clock or map order either).
+	// goroutine runtime reads no clock or map order either, and its
+	// Flush barrier waits on events, not timers).
 	"wrs/internal/netsim",
 	// The experiment suite renders the reproduction tables.
 	"wrs/internal/bench",
@@ -84,6 +89,8 @@ func runDetRand(pass *Pass) {
 					switch fn.Name() {
 					case "Now", "Since", "Until":
 						pass.Reportf(e.Pos(), "time.%s in a deterministic protocol package: protocol state must not depend on the wall clock", fn.Name())
+					case "Sleep", "After", "Tick", "NewTimer", "NewTicker", "AfterFunc":
+						pass.Reportf(e.Pos(), "time.%s in a deterministic protocol package: wait on the event you need (a condition variable or channel), not on the wall clock", fn.Name())
 					}
 				}
 			case *ast.RangeStmt:

@@ -1,7 +1,7 @@
 // Package detrand is the wrs-lint fixture for the detrand analyzer
 // (its testdata path opts it in; see detrandPkgs): ambient
-// randomness, wall-clock reads, and map-order iteration inside what
-// the analyzer treats as a deterministic protocol package.
+// randomness, wall-clock reads and waits, and map-order iteration
+// inside what the analyzer treats as a deterministic protocol package.
 package detrand
 
 import (
@@ -19,6 +19,24 @@ func pick(xs []int) int {
 // stamp makes protocol state depend on the wall clock.
 func stamp() int64 {
 	return time.Now().UnixNano() // want "time.Now in a deterministic protocol package"
+}
+
+// pollUntil waits for a condition by polling the clock instead of
+// blocking on the event that makes it true.
+func pollUntil(done func() bool) {
+	for !done() {
+		time.Sleep(100 * time.Microsecond) // want "time.Sleep in a deterministic protocol package: wait on the event"
+	}
+}
+
+// timeout races the work against a timer.
+func timeout(work <-chan struct{}) bool {
+	select {
+	case <-work:
+		return true
+	case <-time.After(time.Millisecond): // want "time.After in a deterministic protocol package: wait on the event"
+		return false
+	}
 }
 
 // badKeys feeds output from a randomized traversal order.

@@ -2,10 +2,8 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wrs/internal/stream"
 )
@@ -21,8 +19,11 @@ import (
 // afterwards they return an error. Flush is a non-terminal barrier:
 // it blocks until everything fed before the call has been observed by
 // the sites and every resulting message handled by the coordinator.
-// Do runs a function serialized with coordinator message processing,
-// so mid-run queries see a consistent coordinator state.
+// It waits on events, not on a clock: while a flusher is blocked, each
+// site goroutine wakes it once per dequeued batch and the coordinator
+// goroutine once per handled message. Do runs a function serialized
+// with coordinator message processing, so mid-run queries see a
+// consistent coordinator state.
 type ConcurrentCluster[M Msg] struct {
 	coord Coordinator[M]
 	sites []Site[M]
@@ -34,8 +35,15 @@ type ConcurrentCluster[M Msg] struct {
 	up, down, upWords, downWords atomic.Int64
 
 	fed       []atomic.Int64 // items accepted by Feed/FeedBatch, per site
-	processed []atomic.Int64 // items fully observed by the site goroutine
+	processed []atomic.Int64 // items fully observed, per site; one add per dequeued batch
 	handled   atomic.Int64   // messages processed by the coordinator
+
+	// Flush barrier: flushers block on flushCond (under flushMu); while
+	// waiters > 0, site and coordinator goroutines broadcast it after
+	// advancing processed or handled.
+	flushMu   sync.Mutex
+	flushCond *sync.Cond
+	waiters   atomic.Int32
 
 	coordMu sync.Mutex // serializes HandleMessage with Do
 
@@ -69,6 +77,7 @@ func NewConcurrentCluster[M Msg](coord Coordinator[M], sites []Site[M]) *Concurr
 		cc.in[i] = NewBatchQueue[stream.Item](256)
 		cc.boxes[i] = NewMailbox[M]()
 	}
+	cc.flushCond = sync.NewCond(&cc.flushMu)
 	return cc
 }
 
@@ -95,6 +104,7 @@ func (cc *ConcurrentCluster[M]) Start() {
 			cc.coord.HandleMessage(m, bcast)
 			cc.coordMu.Unlock()
 			cc.handled.Add(1)
+			cc.wakeFlushers()
 		}
 	}()
 
@@ -129,11 +139,25 @@ func (cc *ConcurrentCluster[M]) Start() {
 					if err := site.Observe(it, send); err != nil {
 						cc.setErr(err)
 					}
-					cc.processed[id].Add(1)
 				}
+				cc.processed[id].Add(int64(len(batch)))
+				cc.wakeFlushers()
 			}
 		}(i)
 	}
+}
+
+// wakeFlushers wakes every blocked Flush to re-check its barrier. The
+// caller has already advanced the counter the flushers wait on; since
+// a flusher registers in waiters before it checks the counters, either
+// it sees the new count or this load sees it waiting.
+func (cc *ConcurrentCluster[M]) wakeFlushers() {
+	if cc.waiters.Load() == 0 {
+		return
+	}
+	cc.flushMu.Lock()
+	cc.flushCond.Broadcast()
+	cc.flushMu.Unlock()
 }
 
 func (cc *ConcurrentCluster[M]) setErr(err error) {
@@ -210,29 +234,24 @@ func (cc *ConcurrentCluster[M]) Do(fn func()) {
 // before the call has been observed by its site and every message
 // those observations sent has been handled by the coordinator. The
 // cluster remains usable. Concurrent feeds during a Flush are allowed;
-// they may or may not be covered by the barrier.
+// they may or may not be covered by the barrier. Flush blocks without
+// a timer or a spin: the site and coordinator goroutines wake it as
+// their counters advance. After Drain it returns at once.
 func (cc *ConcurrentCluster[M]) Flush() error {
-	fedSnap := make([]int64, len(cc.fed))
+	cc.waiters.Add(1)
+	cc.flushMu.Lock()
 	for i := range cc.fed {
-		fedSnap[i] = cc.fed[i].Load()
-	}
-	wait := func(done func() bool) {
-		for spin := 0; !done(); spin++ {
-			if spin < 100 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(100 * time.Microsecond)
-			}
+		for target := cc.fed[i].Load(); cc.processed[i].Load() < target; {
+			cc.flushCond.Wait()
 		}
-	}
-	for i := range fedSnap {
-		i := i
-		wait(func() bool { return cc.processed[i].Load() >= fedSnap[i] })
 	}
 	// Every send from the flushed items is already in upCh (sends happen
 	// inside Observe, before the processed counter advances).
-	sent := cc.up.Load()
-	wait(func() bool { return cc.handled.Load() >= sent })
+	for sent := cc.up.Load(); cc.handled.Load() < sent; {
+		cc.flushCond.Wait()
+	}
+	cc.flushMu.Unlock()
+	cc.waiters.Add(-1)
 	return cc.Err()
 }
 

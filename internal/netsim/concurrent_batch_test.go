@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"wrs/internal/stream"
 )
@@ -165,6 +169,156 @@ func TestConcurrentFlushBarrier(t *testing.T) {
 	}
 }
 
+// within runs fn on its own goroutine and fails the test if fn has not
+// returned after a generous bound: a barrier that misses a wake-up
+// would otherwise hang the suite instead of failing it.
+func within(t *testing.T, what string, fn func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		t.Fatalf("%s did not return", what)
+		return nil
+	}
+}
+
+// siteCountCoord counts the messages it handles per sending site and
+// broadcasts every 50th, so site mailboxes carry traffic too. Read got
+// under Do.
+type siteCountCoord struct{ got []int }
+
+func (c *siteCountCoord) HandleMessage(m testMsg, bcast func(testMsg)) {
+	c.got[m.From]++
+	if c.got[m.From]%50 == 0 {
+		bcast(testMsg{Down: true})
+	}
+}
+
+// Several feeders each own one site and alternate FeedBatch and Flush.
+// Every Flush must cover everything its own goroutine fed, whatever
+// the other feeders and flushers are doing at the same time.
+func TestConcurrentFlushConcurrentFeeders(t *testing.T) {
+	const k, rounds, chunk = 4, 60, 37
+	coord := &siteCountCoord{got: make([]int, k)}
+	sites := make([]Site[testMsg], k)
+	for i := range sites {
+		sites[i] = &echoSite{id: i}
+	}
+	cc := NewConcurrentCluster[testMsg](coord, sites)
+	cc.Start()
+	errs := make(chan error, k)
+	var wg sync.WaitGroup
+	for id := 0; id < k; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			batch := make([]stream.Item, chunk)
+			for i := range batch {
+				batch[i] = stream.Item{ID: uint64(id*chunk + i), Weight: 1}
+			}
+			fed := 0
+			for r := 0; r < rounds; r++ {
+				if err := cc.FeedBatch(id, batch[:1+r%chunk]); err != nil {
+					errs <- err
+					return
+				}
+				fed += 1 + r%chunk
+				if err := cc.Flush(); err != nil {
+					errs <- err
+					return
+				}
+				got := 0
+				cc.Do(func() { got = coord.got[id] })
+				if got != fed {
+					errs <- fmt.Errorf("site %d, round %d: coordinator handled %d of its messages after Flush, want %d", id, r, got, fed)
+					return
+				}
+			}
+		}(id)
+	}
+	if err := within(t, "concurrent feeders", func() error { wg.Wait(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if _, err := cc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A Flush racing Drain returns once the drain has consumed everything,
+// and a Flush after Drain returns at once: every counter is final.
+func TestConcurrentFlushAndDrain(t *testing.T) {
+	coord := &countCoord{n: 1 << 30}
+	sites := make([]Site[testMsg], 3)
+	for i := range sites {
+		sites[i] = &echoSite{id: i}
+	}
+	cc := NewConcurrentCluster[testMsg](coord, sites)
+	cc.Start()
+	batch := make([]stream.Item, 500)
+	for i := range batch {
+		batch[i] = stream.Item{ID: uint64(i), Weight: 1}
+	}
+	for i := range sites {
+		if err := cc.FeedBatch(i, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := within(t, "Flush racing Drain", func() error {
+		flushed := make(chan error, 1)
+		go func() { flushed <- cc.Flush() }()
+		if _, err := cc.Drain(); err != nil {
+			return err
+		}
+		return <-flushed
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := within(t, "Flush after Drain", cc.Flush); err != nil {
+		t.Fatal(err)
+	}
+	if coord.received != 3*len(batch) {
+		t.Errorf("coordinator received %d, want %d", coord.received, 3*len(batch))
+	}
+}
+
+// A site whose Observe fails still consumes its input, so Flush returns
+// the error instead of waiting forever for the failed item, and keeps
+// returning it on later barriers.
+func TestConcurrentFlushReturnsSiteError(t *testing.T) {
+	coord := &countCoord{n: 1 << 30}
+	cc := NewConcurrentCluster[testMsg](coord, []Site[testMsg]{&echoSite{id: 0}, &echoSite{id: 1}})
+	cc.Start()
+	defer cc.Drain()
+	if err := cc.FeedBatch(0, []stream.Item{{ID: 1, Weight: 1}, {ID: 2, Weight: -1}, {ID: 3, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.Feed(1, stream.Item{ID: 4, Weight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := within(t, "Flush after a site error", cc.Flush); !errors.Is(err, errBadWeight) {
+		t.Fatalf("Flush returned %v, want %v", err, errBadWeight)
+	}
+	if err := cc.Feed(0, stream.Item{ID: 5, Weight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := within(t, "second Flush", cc.Flush); !errors.Is(err, errBadWeight) {
+		t.Fatalf("second Flush returned %v, want %v", err, errBadWeight)
+	}
+	got := 0
+	cc.Do(func() { got = coord.received })
+	if got != 4 {
+		t.Errorf("coordinator received %d, want the 4 valid items", got)
+	}
+}
+
 // nullSite never sends, isolating queue overhead for the benchmarks.
 type nullSite struct{ seen int64 }
 
@@ -224,6 +378,32 @@ func BenchmarkConcurrentFeedBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		fed += n
+	}
+	b.StopTimer()
+	cc.Drain()
+}
+
+// BenchmarkConcurrentFlush times the barrier: one 256-item batch per
+// site, then Flush, so each op waits for four sites to drain a fresh
+// backlog.
+func BenchmarkConcurrentFlush(b *testing.B) {
+	const k = 4
+	cc, _ := benchCluster(k)
+	batch := make([]stream.Item, 256)
+	for i := range batch {
+		batch[i] = stream.Item{ID: uint64(i), Weight: 1}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for site := 0; site < k; site++ {
+			if err := cc.FeedBatch(site, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := cc.Flush(); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	cc.Drain()

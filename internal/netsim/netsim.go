@@ -14,7 +14,9 @@
 //     with batched FIFO input queues and FIFO links in both directions,
 //     demonstrating the protocol live and validating that correctness
 //     survives asynchrony (stale thresholds only cost extra messages;
-//     see DESIGN.md).
+//     see DESIGN.md). Its Flush barrier blocks until the site and
+//     coordinator goroutines signal that the work fed before it is
+//     done; nothing in this package waits on a timer.
 package netsim
 
 import (

@@ -18,6 +18,9 @@ type testMsg struct {
 
 func (testMsg) Words() int { return 2 }
 
+// errBadWeight is what echoSite returns for a negative weight.
+var errBadWeight = errors.New("bad weight")
+
 // echoSite sends one message per observed item and records broadcasts.
 type echoSite struct {
 	id         int
@@ -28,7 +31,7 @@ type echoSite struct {
 
 func (s *echoSite) Observe(it stream.Item, send func(testMsg)) error {
 	if it.Weight < 0 {
-		return errors.New("bad weight")
+		return errBadWeight
 	}
 	s.seq++
 	send(testMsg{From: s.id, Seq: s.seq})

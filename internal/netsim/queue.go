@@ -8,6 +8,9 @@ import "sync"
 // runtime uses one per site for its input lane, so FeedBatch costs one
 // queue operation per batch instead of one channel send per item, and
 // the site goroutine wakes once per burst instead of once per item.
+// What one GetAll returns is also the site goroutine's unit of progress
+// for the Flush barrier: it advances its processed count and wakes a
+// waiting flusher once per dequeued batch.
 //
 // Capacity is a soft bound: a producer blocks while the queue holds at
 // least max items, but a single PutBatch is admitted whole once there

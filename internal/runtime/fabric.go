@@ -49,6 +49,12 @@ func (s singleShard) DoShard(_ int, fn func()) { s.Do(fn) }
 // stays k rather than P×k.
 type Fabric struct {
 	runs []Runtime
+
+	// splitMu guards free: the per-shard split buffers of finished
+	// FeedBatch calls, built on first use and reused after. Each call
+	// takes a set of its own, so concurrent calls never share one.
+	splitMu sync.Mutex
+	free    [][][]stream.Item
 }
 
 // NewFabric builds one runtime per instance with f and composes them.
@@ -81,16 +87,15 @@ func (f *Fabric) Feed(site int, it stream.Item) error {
 
 // FeedBatch splits the batch across shards in one pass, preserving
 // per-shard arrival order, and delivers each part through the shard
-// runtime's batched path.
+// runtime's batched path. The split reuses buffers across calls, so a
+// steady stream of batches allocates nothing here; shard runtimes must
+// not retain a part after their FeedBatch returns.
 func (f *Fabric) FeedBatch(site int, items []stream.Item) error {
+	parts := f.takeSplit()
+	defer f.putSplit(parts)
 	p := len(f.runs)
-	parts := make([][]stream.Item, p)
-	hint := len(items)/p + 1
 	for _, it := range items {
 		s := fabric.ShardOf(it.ID, p)
-		if parts[s] == nil {
-			parts[s] = make([]stream.Item, 0, hint)
-		}
 		parts[s] = append(parts[s], it)
 	}
 	for s, part := range parts {
@@ -104,18 +109,40 @@ func (f *Fabric) FeedBatch(site int, items []stream.Item) error {
 	return nil
 }
 
-// Flush barriers every shard concurrently.
-func (f *Fabric) Flush() error {
-	errs := make([]error, len(f.runs))
-	var wg sync.WaitGroup
-	for p, r := range f.runs {
-		wg.Add(1)
-		go func(p int, r Runtime) {
-			defer wg.Done()
-			errs[p] = r.Flush()
-		}(p, r)
+// takeSplit returns an empty set of per-shard parts that no other
+// FeedBatch call holds.
+func (f *Fabric) takeSplit() [][]stream.Item {
+	f.splitMu.Lock()
+	defer f.splitMu.Unlock()
+	if n := len(f.free); n > 0 {
+		parts := f.free[n-1]
+		f.free = f.free[:n-1]
+		return parts
 	}
-	wg.Wait()
+	return make([][]stream.Item, len(f.runs))
+}
+
+// putSplit empties parts and returns them to the free list.
+func (f *Fabric) putSplit(parts [][]stream.Item) {
+	for s := range parts {
+		parts[s] = parts[s][:0]
+	}
+	f.splitMu.Lock()
+	f.free = append(f.free, parts)
+	f.splitMu.Unlock()
+}
+
+// Flush barriers every shard in turn, on the caller's goroutine. For
+// the in-process runtimes that costs no more than waiting on all at
+// once: the later shards keep draining while an earlier one is waited
+// on.
+func (f *Fabric) Flush() error {
+	var errs []error
+	for _, r := range f.runs {
+		if err := r.Flush(); err != nil {
+			errs = append(errs, err)
+		}
+	}
 	return errors.Join(errs...)
 }
 

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"wrs/internal/core"
@@ -214,6 +215,107 @@ func TestFabricRouterConsistency(t *testing.T) {
 					t.Errorf("%s: item %d on shard %d, router says %d", name, id, p, want)
 				}
 			}
+		}
+	}
+}
+
+// idSite records the IDs it observes and never sends. Only its own
+// site goroutine touches it; read ids after Close.
+type idSite struct{ ids []uint64 }
+
+func (s *idSite) Observe(it stream.Item, _ func(core.Message)) error {
+	s.ids = append(s.ids, it.ID)
+	return nil
+}
+func (s *idSite) HandleBroadcast(core.Message) {}
+
+// goroutineFabric composes two Goroutines shards over k idSites each.
+func goroutineFabric(t *testing.T, k int) (*Fabric, [][]*idSite) {
+	t.Helper()
+	const shards = 2
+	cfg := core.Config{K: k, S: 8}
+	insts := make([]Instance, shards)
+	sites := make([][]*idSite, shards)
+	for p := range insts {
+		sites[p] = make([]*idSite, k)
+		for i := range sites[p] {
+			sites[p][i] = &idSite{}
+		}
+		insts[p] = Instance{Cfg: cfg, Coord: core.NewCoordinator(cfg, xrand.New(uint64(p))), Sites: SiteList(sites[p])}
+	}
+	f, err := NewFabric(insts, Goroutines())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, sites
+}
+
+// In steady state the fabric's batch split reuses its buffers: feeding
+// a batch over two goroutine shards allocates nothing, on this
+// goroutine or the site goroutines behind it.
+func TestFabricFeedBatchAllocs(t *testing.T) {
+	f, _ := goroutineFabric(t, 2)
+	defer f.Close()
+	batch := make([]stream.Item, 256)
+	for i := range batch {
+		batch[i] = stream.Item{ID: uint64(i), Weight: 1}
+	}
+	feed := func() {
+		if err := f.FeedBatch(0, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ { // grow the queues and site buffers to size
+		feed()
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, feed); got != 0 {
+		t.Errorf("Fabric.FeedBatch over 2 goroutine shards: %v allocations per call, want 0", got)
+	}
+}
+
+// Two goroutines feeding the same site at once is outside the
+// one-feeder-per-site contract, but it works, so concurrent FeedBatch
+// calls must never share a split buffer: every item arrives exactly
+// once.
+func TestFabricFeedBatchSameSiteConcurrent(t *testing.T) {
+	f, sites := goroutineFabric(t, 1)
+	const feeders, batches, chunk = 2, 200, 64
+	var wg sync.WaitGroup
+	for g := 0; g < feeders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			batch := make([]stream.Item, chunk)
+			for b := 0; b < batches; b++ {
+				for i := range batch {
+					batch[i] = stream.Item{ID: uint64((g*batches+b)*chunk + i), Weight: 1}
+				}
+				if err := f.FeedBatch(0, batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]int, feeders*batches*chunk)
+	for p := range sites {
+		for _, id := range sites[p][0].ids {
+			if want := fabric.ShardOf(id, len(sites)); want != p {
+				t.Fatalf("item %d delivered to shard %d, router says %d", id, p, want)
+			}
+			seen[id]++
+		}
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("item %d delivered %d times, want once", id, n)
 		}
 	}
 }

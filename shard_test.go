@@ -259,3 +259,37 @@ func TestConcurrentSamplerDrainStatsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestObserveBatchAllocsGoroutinesSharded pins the batch path of the
+// goroutine runtime over two shards at one allocation per call: the
+// copy of the caller's Items into the internal item type. Splitting
+// the batch per shard reuses buffers, and in steady state nothing else
+// on the path, the site and coordinator goroutines included, allocates
+// per call (AllocsPerRun counts every goroutine's allocations).
+func TestObserveBatchAllocsGoroutinesSharded(t *testing.T) {
+	h, err := Open(Windowed(2, 64, 1024), WithRuntime(Goroutines()), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	batch := make([]Item, 256)
+	for i := range batch {
+		batch[i] = Item{ID: uint64(i), Weight: 1 + float64(i%7)}
+	}
+	calls := 0
+	observe := func() {
+		if err := h.ObserveBatch(calls%2, batch); err != nil {
+			t.Fatal(err)
+		}
+		calls++
+	}
+	for i := 0; i < 64; i++ { // fill the windows and size every buffer
+		observe()
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, observe); got != 1 {
+		t.Errorf("ObserveBatch: %v allocations per call, want 1", got)
+	}
+}
