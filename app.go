@@ -32,8 +32,10 @@ type App[Q any] interface {
 	// state machine plus k site state machines — per shard, splitting
 	// every RNG off master in a fixed order (per shard ascending:
 	// coordinator first, then sites 0..k-1), and retains whatever
-	// per-shard state Query needs. It is called exactly once, by Open;
-	// a descriptor is bound to a single Handle.
+	// per-shard state Query needs. It is called once per descriptor:
+	// by Open, which binds the descriptor to a single Handle, or by a
+	// driver that runs the instances itself (workload.RunApp,
+	// cmd/wrs-tcp).
 	Instances(k, shards int, master *xrand.RNG) ([]rt.Instance, error)
 
 	// Query answers the application's query from the live per-shard
@@ -88,7 +90,11 @@ func Open[Q any](app App[Q], opts ...Option) (*Handle[Q], error) {
 	if len(insts) != o.shards {
 		return nil, fmt.Errorf("wrs: app built %d instances for %d shards", len(insts), o.shards)
 	}
-	run, err := o.rt.buildSharded(insts)
+	factory := o.rt.factory
+	if factory == nil {
+		factory = rt.Sequential()
+	}
+	run, err := factory(insts)
 	if err != nil {
 		// No handle was created: release the descriptor so a retry with
 		// corrected options (e.g. a reachable TCP address) can rebuild

@@ -1,7 +1,8 @@
-// Command wrs-tcp demonstrates the protocol over real TCP: it assembles
-// a transport cluster (coordinator server on loopback plus k site
-// client connections), streams weighted items through it concurrently,
-// and prints the application's answer plus traffic counts.
+// Command wrs-tcp demonstrates the protocol over real TCP: it builds an
+// application's protocol instances from its wrs descriptor, starts them
+// on the TCP runtime (coordinator server on loopback plus k site client
+// connections), streams weighted items through it concurrently, and
+// prints the application's answer plus traffic counts.
 //
 // Every application runs over the same transport:
 //
@@ -38,22 +39,26 @@ import (
 	"sync"
 	"time"
 
-	"wrs/internal/core"
+	"wrs"
 	"wrs/internal/fabric"
-	"wrs/internal/heavyhitter"
-	"wrs/internal/l1track"
 	"wrs/internal/netsim"
-	"wrs/internal/quantile"
 	"wrs/internal/relay"
+	rt "wrs/internal/runtime"
 	"wrs/internal/stream"
 	"wrs/internal/transport"
-	"wrs/internal/window"
 	"wrs/internal/xrand"
 )
 
 func fatal(v ...any) {
 	fmt.Fprintln(os.Stderr, append([]any{"wrs-tcp:"}, v...)...)
 	os.Exit(1)
+}
+
+// demo is one run's shape, from the flags.
+type demo struct {
+	app                                string
+	k, n, batch, shards, fanout, depth int
+	seed                               uint64
 }
 
 func main() {
@@ -79,64 +84,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	d := demo{app: *app, k: *k, n: *n, batch: *batch, shards: *shards, fanout: fanout, depth: depth, seed: *seed}
 
-	master := xrand.New(*seed)
-
-	// Assemble the application fabric: per shard, a coordinator-side
-	// protocol and k site state machines. The transport drives them all
-	// identically; queries merge per-shard state outside the ingest
-	// locks.
-	var (
-		protos   []transport.Coordinator
-		machines [][]netsim.Site[core.Message]
-		report   func(cluster cluster, totalW float64)
-		coreCfg  core.Config
-	)
+	// Each case names the application's descriptor — the one that Open
+	// uses, so the instances and their RNG split order are Open's — and
+	// prints its answer.
 	switch *app {
 	case "swor":
-		coreCfg = core.Config{K: *k, S: *s}
-		if err := coreCfg.Validate(); err != nil {
-			fatal(err)
-		}
-		for p := 0; p < *shards; p++ {
-			protos = append(protos, core.NewCoordinator(coreCfg, master.Split()))
-			sites := make([]netsim.Site[core.Message], *k)
-			for i := 0; i < *k; i++ {
-				sites[i] = core.NewSite(i, coreCfg, master.Split())
-			}
-			machines = append(machines, sites)
-		}
-		report = func(cluster cluster, _ float64) {
+		run(d, wrs.Sampler(*k, *s), func(sample []wrs.Sampled, _ int, _ float64) {
 			fmt.Println("\nsample (id, weight, key):")
-			for _, e := range cluster.Server().Query() {
+			for _, e := range sample {
 				fmt.Printf("  %8d  w=%-12.3f key=%.4g\n", e.Item.ID, e.Item.Weight, e.Key)
 			}
-		}
+		})
 	case "hh":
-		var trackers []*heavyhitter.Tracker
-		for p := 0; p < *shards; p++ {
-			tr, err := heavyhitter.NewTracker(*k, heavyhitter.Params{Eps: *eps, Delta: *delta}, master)
-			if err != nil {
-				fatal(err)
-			}
-			coreCfg = tr.Coord.Config()
-			protos = append(protos, tr.Coord)
-			sites := make([]netsim.Site[core.Message], *k)
-			for i, st := range tr.Sites {
-				sites[i] = st
-			}
-			machines = append(machines, sites)
-			trackers = append(trackers, tr)
-		}
-		report = func(cluster cluster, _ float64) {
-			var entries []core.SampleEntry
-			for p, tr := range trackers {
-				coord := tr.Coord
-				cluster.DoShard(p, func() { entries = coord.Snapshot(entries) })
-			}
-			items := heavyhitter.CandidatesFrom(entries, trackers[0].Params())
-			fmt.Printf("\nresidual heavy-hitter candidates (top %d by weight, s=%d):\n",
-				len(items), coreCfg.S)
+		run(d, wrs.HeavyHitters(*k, *eps, *delta), func(items []wrs.Item, s int, _ float64) {
+			fmt.Printf("\nresidual heavy-hitter candidates (top %d by weight, s=%d):\n", len(items), s)
 			for i, it := range items {
 				if i >= 10 {
 					fmt.Printf("  ... and %d more\n", len(items)-10)
@@ -144,154 +107,87 @@ func main() {
 				}
 				fmt.Printf("  %8d  w=%.3f\n", it.ID, it.Weight)
 			}
-		}
+		})
 	case "l1":
-		var coords []*l1track.DupCoordinator
-		// Each shard is provisioned at delta/P so the union bound over
-		// the summed per-partition estimators preserves 1-delta overall
-		// (matching wrs.NewL1Tracker).
-		for p := 0; p < *shards; p++ {
-			dc, dsites, err := l1track.NewDupTracker(*k, l1track.DupParams{Eps: *eps, Delta: *delta / float64(*shards)}, master)
-			if err != nil {
-				fatal(err)
-			}
-			coreCfg = dc.Core().Config()
-			protos = append(protos, dc)
-			sites := make([]netsim.Site[core.Message], *k)
-			for i, st := range dsites {
-				sites[i] = st
-			}
-			machines = append(machines, sites)
-			coords = append(coords, dc)
-		}
-		report = func(cluster cluster, totalW float64) {
-			var est float64
-			for p, dc := range coords {
-				dc := dc
-				cluster.DoShard(p, func() { est += dc.Estimate() })
-			}
+		run(d, wrs.L1(*k, *eps, *delta), func(est float64, s int, totalW float64) {
 			fmt.Printf("\nL1 estimate: %.1f  true: %.1f  relative error: %.2f%% (eps=%v, s=%d)\n",
-				est, totalW, 100*math.Abs(est-totalW)/totalW, *eps, coreCfg.S)
-		}
+				est, totalW, 100*math.Abs(est-totalW)/totalW, *eps, s)
+		})
 	case "quantile":
-		// The quantile application is the plain sampler's instances at
-		// s = SampleSize(eps, delta); only the query differs — the
-		// bottom-k CDF estimator over the merged per-shard snapshots.
-		qp := quantile.Params{Eps: *eps, Delta: *delta}
-		if err := qp.Validate(); err != nil {
-			fatal(err)
-		}
-		coreCfg = core.Config{K: *k, S: qp.SampleSize()}
-		if err := coreCfg.Validate(); err != nil {
-			fatal(err)
-		}
-		var coords []*core.Coordinator
-		for p := 0; p < *shards; p++ {
-			coord := core.NewCoordinator(coreCfg, master.Split())
-			protos = append(protos, coord)
-			sites := make([]netsim.Site[core.Message], *k)
-			for i := 0; i < *k; i++ {
-				sites[i] = core.NewSite(i, coreCfg, master.Split())
-			}
-			machines = append(machines, sites)
-			coords = append(coords, coord)
-		}
-		report = func(cluster cluster, totalW float64) {
-			var entries []core.SampleEntry
-			for p, coord := range coords {
-				coord := coord
-				cluster.DoShard(p, func() { entries = coord.Snapshot(entries) })
-			}
-			sm := quantile.Summarize(entries, coreCfg.S)
-			fmt.Printf("\nweight-CDF estimate (s=%d, %d support points):\n", coreCfg.S, sm.Support())
+		run(d, wrs.Quantiles(*k, *eps, *delta), func(q wrs.QuantileEstimate, s int, totalW float64) {
+			fmt.Printf("\nweight-CDF estimate (s=%d, %d support points):\n", s, q.Support())
 			fmt.Printf("  total weight: est %.1f  true %.1f  relative error %.2f%%\n",
-				sm.Total(), totalW, 100*math.Abs(sm.Total()-totalW)/totalW)
+				q.Total(), totalW, 100*math.Abs(q.Total()-totalW)/totalW)
 			for _, phi := range []float64{0.25, 0.5, 0.9, 0.99} {
-				x, _ := sm.Quantile(phi)
+				x, _ := q.Quantile(phi)
 				fmt.Printf("  q%-4g  weight <= %.3f\n", 100*phi, x)
 			}
-		}
+		})
 	case "window":
-		// The windowed application: per shard, a WindowCoordinator and k
-		// sequence-stamping WindowSites; the transport carries the
-		// stamped candidates and clock advances like any other traffic.
-		coreCfg = core.Config{K: *k, S: *s}
-		if err := coreCfg.Validate(); err != nil {
-			fatal(err)
-		}
-		var coords []*core.WindowCoordinator
-		for p := 0; p < *shards; p++ {
-			coord := core.NewWindowCoordinator(coreCfg, *width, master.Split())
-			protos = append(protos, coord)
-			sites := make([]netsim.Site[core.Message], *k)
-			for i := 0; i < *k; i++ {
-				sites[i] = core.NewWindowSite(i, coreCfg, *width, master.Split())
-			}
-			machines = append(machines, sites)
-			coords = append(coords, coord)
-		}
-		report = func(cluster cluster, _ float64) {
-			var entries []window.Entry
-			var cov core.WindowCoverage
-			for p, coord := range coords {
-				coord := coord
-				cluster.DoShard(p, func() {
-					var c core.WindowCoverage
-					entries, c = coord.SnapshotWindow(entries)
-					cov.Add(c)
-				})
-			}
-			entries = window.TopEntries(entries, coreCfg.S)
+		run(d, wrs.Windowed(*k, *s, *width), func(w wrs.WindowSample, _ int, _ float64) {
 			fmt.Printf("\nsliding-window sample (width %d per sub-stream; %d live, %d retained):\n",
-				*width, cov.Live, cov.Retained)
-			for _, e := range entries {
+				*width, w.Window, w.Retained)
+			for _, e := range w.Items {
 				fmt.Printf("  %8d  w=%-12.3f key=%.4g\n", e.Item.ID, e.Item.Weight, e.Key)
 			}
-		}
+		})
 	default:
 		fmt.Fprintf(os.Stderr, "wrs-tcp: unknown app %q\n", *app)
 		os.Exit(2)
 	}
+}
 
-	var cluster cluster
-	if depth > 0 {
-		merge := true
-		for _, proto := range protos {
-			merge = merge && relay.UnionMergeable(proto)
-		}
-		tc, err := relay.NewTreeCluster(coreCfg, protos, machines, "127.0.0.1:0", fanout, depth, relay.Options{Merge: merge})
-		if err != nil {
-			fatal(err)
-		}
-		cluster = tc
+// run builds app's instances, starts them on the flat or relay-tree TCP
+// runtime, streams d.n updates from k concurrent sites, and prints the
+// traffic counts. It then hands report the app's answer, the sample
+// size s and the true total weight.
+func run[Q any](d demo, app wrs.App[Q], report func(answer Q, s int, totalW float64)) {
+	insts, err := app.Instances(d.k, d.shards, xrand.New(d.seed))
+	if err != nil {
+		fatal(err)
+	}
+	factory := rt.TCP("127.0.0.1:0")
+	if d.depth > 0 {
+		factory = rt.TCPTree("127.0.0.1:0", d.fanout, d.depth)
+	}
+	cluster, err := factory(insts)
+	if err != nil {
+		fatal(err)
+	}
+	tree, isTree := cluster.(*relay.TreeCluster)
+	var flat *transport.Cluster
+	if isTree {
+		flat = tree.Cluster
 		fmt.Printf("coordinator listening on %s, %d sites via relay tree fanout=%d depth=%d (root conns %d, union merge %v), app=%s, shards=%d\n",
-			tc.Addr(), *k, fanout, depth, tc.RootConns(), merge, *app, *shards)
+			flat.Addr(), d.k, d.fanout, d.depth, tree.RootConns(), tree.UnionMerge(), d.app, d.shards)
 	} else {
-		fc, err := transport.NewShardedCluster(coreCfg, protos, machines, "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		cluster = fc
+		flat = cluster.(*transport.Cluster)
 		fmt.Printf("coordinator listening on %s, %d sites connected, app=%s, shards=%d\n",
-			fc.Addr(), *k, *app, *shards)
+			flat.Addr(), d.k, d.app, d.shards)
 	}
 
 	start := time.Now()
-	perSite := *n / *k
-	weights := make([]float64, *k) // per-site true totals (l1 report)
+	per, extra := d.n/d.k, d.n%d.k
+	weights := make([]float64, d.k) // per-site true totals (l1, quantile reports)
 	var wg sync.WaitGroup
-	errCh := make(chan error, *k)
-	for i := 0; i < *k; i++ {
+	errCh := make(chan error, d.k)
+	for i := 0; i < d.k; i++ {
+		// Site i streams per items, one more while i < extra, with IDs
+		// first, first+1, ...: the sites' ID ranges are disjoint.
+		count, first := per, i*per+min(i, extra)
+		if i < extra {
+			count++
+		}
 		wg.Add(1)
-		go func(site int) {
+		go func(site, first, count int) {
 			defer wg.Done()
-			rng := xrand.New(*seed + uint64(site)*7919)
-			items := make([]stream.Item, 0, *batch)
-			for j := 0; j < perSite; j++ {
+			rng := xrand.New(d.seed + uint64(site)*7919)
+			items := make([]stream.Item, 0, d.batch)
+			for j := 0; j < count; j++ {
 				w := rng.Pareto(1.2)
 				weights[site] += w
-				items = append(items, stream.Item{ID: uint64(site*perSite + j), Weight: w})
-				if len(items) == *batch || j == perSite-1 {
+				items = append(items, stream.Item{ID: uint64(first + j), Weight: w})
+				if len(items) == d.batch || j == count-1 {
 					if err := cluster.FeedBatch(site, items); err != nil {
 						errCh <- fmt.Errorf("site %d: %w", site, err)
 						return
@@ -299,7 +195,7 @@ func main() {
 					items = items[:0]
 				}
 			}
-		}(i)
+		}(i, first, count)
 	}
 	wg.Wait()
 	select {
@@ -314,48 +210,40 @@ func main() {
 
 	var pings int64
 	var totalW float64
-	for i := 0; i < *k; i++ {
-		pings += cluster.Client(i).FlowPings()
+	for i := 0; i < d.k; i++ {
+		pings += flat.Client(i).FlowPings()
 		totalW += weights[i]
 	}
 	stats := cluster.Stats()
-	total := *k * perSite
 	fmt.Printf("\nstreamed %d updates in %v (%.0f updates/sec)\n",
-		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
+		d.n, elapsed.Round(time.Millisecond), float64(d.n)/elapsed.Seconds())
 	fmt.Printf("traffic: %d upstream messages (%.4f/update), %d broadcast deliveries, %d flow pings\n",
-		stats.Upstream, float64(stats.Upstream)/float64(total), stats.Downstream, pings)
-	if tc, ok := cluster.(*relay.TreeCluster); ok {
+		stats.Upstream, float64(stats.Upstream)/float64(d.n), stats.Downstream, pings)
+	if isTree {
 		fmt.Printf("tree: root edge %d messages (%.4f/update) over %d root conns\n",
-			tc.RootUpstream(), float64(tc.RootUpstream())/float64(total), tc.RootConns())
-		for t, ts := range tc.TierStats() {
+			tree.RootUpstream(), float64(tree.RootUpstream())/float64(d.n), tree.RootConns())
+		for t, ts := range tree.TierStats() {
 			fmt.Printf("  tier %d: %d relays, %d forwarded, %d filtered, %d fanned down\n",
 				t, ts.Nodes, ts.Forwarded, ts.Filtered, ts.DownMessages)
 		}
 	}
-	srv := cluster.Server()
+	srv := flat.Server()
 	st := srv.Stats()
 	fmt.Printf("coordinator: %d early, %d regular, %d saturations, %d epoch advances, %d pre-filtered\n",
 		st.EarlyMsgs, st.RegularMsgs, st.Saturations, st.EpochAdvances, srv.PreFiltered())
 
-	report(cluster, totalW)
+	report(app.Query(views{cluster}), insts[0].Cfg.S, totalW)
 
 	if err := cluster.Close(); err != nil {
 		fatal(err)
 	}
 }
 
-// cluster is the driving surface shared by the flat transport cluster
-// and the relay tree cluster, so one demo body serves both topologies.
-type cluster interface {
-	Addr() string
-	Server() *transport.CoordinatorServer
-	Client(siteID int) *transport.SiteClient
-	FeedBatch(siteID int, items []stream.Item) error
-	Flush() error
-	DoShard(p int, fn func())
-	Stats() netsim.Stats
-	Close() error
-}
+// views is the wrs.Snapshots an app's query reads through: each shard
+// under its own ingest lock while the others keep ingesting.
+type views struct{ rt.ShardedRuntime }
+
+func (v views) View(p int, fn func()) { v.DoShard(p, fn) }
 
 // parseTree parses the -tree flag: empty means flat, otherwise
 // "fanout=F,depth=D" in either order.

@@ -194,9 +194,15 @@ func (c Config) StalenessWindow() int {
 // levelOf returns the level j >= 0 with w in [r^j, r^(j+1)) per
 // Definition 4 (weights below r, including (0,1), map to level 0). The
 // post-correction loops guard against floating-point boundary rounding.
+// It is total: NaN maps to level 0 and +Inf to the level of
+// math.MaxFloat64, so it stays monotone and the loops end on any input a
+// forged message can carry.
 func levelOf(w, r float64) int {
-	if w < r {
+	if !(w >= r) {
 		return 0
+	}
+	if w > math.MaxFloat64 {
+		w = math.MaxFloat64
 	}
 	j := int(math.Floor(math.Log(w) / math.Log(r)))
 	for j > 0 && math.Pow(r, float64(j)) > w {
@@ -212,11 +218,12 @@ func levelOf(w, r float64) int {
 }
 
 // epochThreshold returns the filtering threshold r^floor(log_r u) for
-// u >= 1 and 0 for u < 1 ("epoch 0 until u reaches r"; see DESIGN.md).
-// The returned threshold never exceeds u, so a site filtering with it can
-// only drop keys with at least s released dominators.
+// finite u >= 1 and 0 otherwise — u < 1 ("epoch 0 until u reaches r";
+// see DESIGN.md), NaN and ±Inf. The returned threshold never exceeds u,
+// so a site filtering with it can only drop keys with at least s
+// released dominators.
 func epochThreshold(u, r float64) float64 {
-	if u < 1 {
+	if !(u >= 1) || math.IsInf(u, 1) {
 		return 0
 	}
 	j := int(math.Floor(math.Log(u) / math.Log(r)))

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"wrs/internal/stream"
+	"wrs/internal/xrand"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -71,11 +76,59 @@ func TestLevelOfBoundaries(t *testing.T) {
 	}{
 		{0.5, 2, 0}, {1, 2, 0}, {1.99, 2, 0}, {2, 2, 1}, {4, 2, 2},
 		{8, 2, 3}, {1 << 20, 2, 20}, {15.9, 16, 0}, {16, 16, 1}, {256, 16, 2},
+		// Every float64 has a level: non-finite weights reach the
+		// coordinator in forged messages.
+		{math.MaxFloat64, 2, 1023}, {math.Inf(1), 2, 1023}, {math.NaN(), 2, 0},
+		{math.Inf(-1), 2, 0}, {math.Copysign(0, -1), 2, 0}, {5e-324, 2, 0},
 	}
 	for _, c := range cases {
-		if got := levelOf(c.w, c.r); got != c.want {
+		var got int
+		returnsWithin(t, fmt.Sprintf("levelOf(%v, %v)", c.w, c.r), func() { got = levelOf(c.w, c.r) })
+		if got != c.want {
 			t.Errorf("levelOf(%v, %v) = %d, want %d", c.w, c.r, got, c.want)
 		}
+	}
+}
+
+func TestEpochThresholdBoundaries(t *testing.T) {
+	cases := []struct{ u, r, want float64 }{
+		{0.5, 2, 0}, {1, 2, 1}, {3, 2, 2}, {1 << 20, 2, 1 << 20}, {255, 16, 16},
+		{math.MaxFloat64, 2, math.Ldexp(1, 1023)}, {math.Inf(1), 2, 0}, {math.NaN(), 2, 0},
+		{math.Inf(-1), 2, 0}, {math.Copysign(0, -1), 2, 0}, {5e-324, 2, 0},
+	}
+	for _, c := range cases {
+		var got float64
+		returnsWithin(t, fmt.Sprintf("epochThreshold(%v, %v)", c.u, c.r), func() { got = epochThreshold(c.u, c.r) })
+		if got != c.want {
+			t.Errorf("epochThreshold(%v, %v) = %v, want %v", c.u, c.r, got, c.want)
+		}
+	}
+}
+
+// One early message with weight +Inf — a 29-byte frame over TCP, handled
+// under the shard mutex — must not stop the coordinator.
+func TestCoordinatorEarlyInfWeightReturns(t *testing.T) {
+	c := NewCoordinator(Config{K: 4, S: 8}, xrand.New(1))
+	m := Message{Kind: MsgEarly, Item: stream.Item{ID: 1, Weight: math.Inf(1)}}
+	returnsWithin(t, "HandleMessage(early, weight +Inf)", func() { c.HandleMessage(m, func(Message) {}) })
+	if c.Stats.EarlyMsgs != 1 {
+		t.Errorf("EarlyMsgs = %d, want 1", c.Stats.EarlyMsgs)
+	}
+}
+
+// returnsWithin fails the test if fn has not returned after 10 s (it is
+// left running): a non-total level computation loops forever.
+func returnsWithin(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		fn()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return", what)
 	}
 }
 

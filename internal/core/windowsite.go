@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wrs/internal/stream"
+	"wrs/internal/window"
 	"wrs/internal/xrand"
 )
 
@@ -543,7 +544,7 @@ func (st *WindowSite) compact() {
 		if len(h) == st.cfg.S && h[0] > e.key && !e.inTop {
 			continue
 		}
-		h = pushTopKeyCore(h, e.key, st.cfg.S)
+		h = window.PushTopKey(h, e.key, st.cfg.S)
 		out--
 		live[out] = e
 	}
@@ -557,43 +558,6 @@ func (st *WindowSite) compact() {
 	st.keyScratch = h
 	st.setPruneAt(n)
 	st.rebuildRest()
-}
-
-// pushTopKeyCore folds k into the min-heap h of the up-to-s largest
-// keys (the same helper window.Retention uses for its compaction).
-func pushTopKeyCore(h []float64, k float64, s int) []float64 {
-	if len(h) < s {
-		h = append(h, k)
-		for c := len(h) - 1; c > 0; {
-			p := (c - 1) / 2
-			if h[p] <= h[c] {
-				break
-			}
-			h[p], h[c] = h[c], h[p]
-			c = p
-		}
-		return h
-	}
-	if k <= h[0] {
-		return h
-	}
-	h[0] = k
-	for c := 0; ; {
-		l, r := 2*c+1, 2*c+2
-		m := c
-		if l < len(h) && h[l] < h[m] {
-			m = l
-		}
-		if r < len(h) && h[r] < h[m] {
-			m = r
-		}
-		if m == c {
-			break
-		}
-		h[m], h[c] = h[c], h[m]
-		c = m
-	}
-	return h
 }
 
 // sortPending orders the pending positions ascending (insertion sort:

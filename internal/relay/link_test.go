@@ -30,7 +30,7 @@ type downRole struct {
 
 func startServerRole(t *testing.T, cfg core.Config, seed uint64) (string, *transport.CoordinatorServer, func()) {
 	t.Helper()
-	srv, err := transport.NewCoordinatorServerFor(cfg, core.NewCoordinator(cfg, xrand.New(seed)))
+	srv, err := transport.NewCoordinatorServer(cfg, xrand.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func TestTreeTCPDepthZeroIsFlat(t *testing.T) {
 // relay's child-facing address.
 func startRelayedServer(t *testing.T, cfg core.Config, master *xrand.RNG) (*transport.CoordinatorServer, *Relay) {
 	t.Helper()
-	srv, err := transport.NewCoordinatorServerFor(cfg, core.NewCoordinator(cfg, master.Split()))
+	srv, err := transport.NewCoordinatorServer(cfg, master.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRelayParentLossCascades(t *testing.T) {
 func TestRelayParentLossPartialTree(t *testing.T) {
 	cfg := core.Config{K: 2, S: 4}
 	master := xrand.New(31)
-	srv, err := transport.NewCoordinatorServerFor(cfg, core.NewCoordinator(cfg, master.Split()))
+	srv, err := transport.NewCoordinatorServer(cfg, master.Split())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ type tiers struct {
 
 // dial builds the tiers beneath serverAddr and returns each site's leaf
 // address and the teardown (leaves first): the shape of
-// transport.IngestBenchOpts.TreeDial and transport.NewShardedClusterVia.
+// transport.IngestBenchOpts.TreeDial and transport.NewCluster's tier.
 // Depth 0 builds nothing and routes every site to the server. On error
 // everything already started is torn down.
 func (t *tiers) dial(serverAddr string) (func(site int) string, func() error, error) {
@@ -118,7 +118,7 @@ type TreeCluster struct {
 // error everything already started is torn down.
 func NewTreeCluster(cfg core.Config, protos []transport.Coordinator, machines [][]netsim.Site[core.Message], addr string, fanout, depth int, opts Options) (*TreeCluster, error) {
 	t := &tiers{cfg: cfg, shards: len(protos), fanout: fanout, depth: depth, opts: opts}
-	cl, err := transport.NewShardedClusterVia(cfg, protos, machines, addr, t.dial)
+	cl, err := transport.NewCluster(cfg, protos, machines, addr, t.dial)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +127,10 @@ func NewTreeCluster(cfg core.Config, protos []transport.Coordinator, machines []
 
 // Depth returns the number of relay tiers.
 func (c *TreeCluster) Depth() int { return c.tiers.depth }
+
+// UnionMerge reports whether the relays run the top-s union merge
+// (Options.Merge) on top of the threshold pre-filter.
+func (c *TreeCluster) UnionMerge() bool { return c.tiers.opts.Merge }
 
 // RootConns returns how many connections the coordinator terminates:
 // the top relay tier's node count, or k for the flat topology. This is

@@ -4,49 +4,15 @@ import (
 	"errors"
 	"sync"
 
-	"wrs/internal/core"
 	"wrs/internal/fabric"
 	"wrs/internal/netsim"
 	"wrs/internal/stream"
-	"wrs/internal/transport"
 )
 
-// ShardedRuntime drives a fabric of P protocol shards under the
-// Runtime contract: Feed routes each arrival to its item's shard
-// (fabric.ShardOf), FeedBatch splits batches per shard in one pass,
-// and Flush/Stats/Close fan out and aggregate. DoShard serializes with
-// a single shard's message processing — the read path for merging
-// per-shard coordinator state without stalling the other shards.
-type ShardedRuntime interface {
-	Runtime
-	// Shards returns the number of protocol shards.
-	Shards() int
-	// DoShard runs fn serialized with shard p's coordinator message
-	// processing only.
-	DoShard(p int, fn func())
-}
-
-// ShardedFactory builds a sharded runtime over P instances that share
-// one configuration. Factories with shard-aware infrastructure (TCP:
-// one server, one connection per site for all shards) provide their
-// own; everything else composes per-instance runtimes with NewFabric.
-type ShardedFactory func(insts []Instance) (ShardedRuntime, error)
-
-// Single adapts a single-instance Runtime to the ShardedRuntime
-// contract (one shard; DoShard(0) is Do). It is the P = 1 path, which
-// leaves the pre-fabric runtime stack byte-identical.
-func Single(r Runtime) ShardedRuntime { return singleShard{r} }
-
-type singleShard struct{ Runtime }
-
-func (s singleShard) Shards() int              { return 1 }
-func (s singleShard) DoShard(_ int, fn func()) { s.Do(fn) }
-
 // Fabric composes P independently built runtimes — one full protocol
-// instance each — into one ShardedRuntime. It is the generic
-// composition used by the in-process runtimes; the TCP transport has a
-// native sharded cluster instead (TCPSharded) so the connection count
-// stays k rather than P×k.
+// instance each — into one ShardedRuntime: the in-process factories'
+// many-shard case. The TCP factories host every shard on one server
+// instead, so the connection count stays k rather than P×k.
 type Fabric struct {
 	runs []Runtime
 
@@ -57,15 +23,15 @@ type Fabric struct {
 	free    [][][]stream.Item
 }
 
-// NewFabric builds one runtime per instance with f and composes them.
+// newFabric builds one runtime per instance with b and composes them.
 // On error every runtime already started is closed.
-func NewFabric(insts []Instance, f Factory) (*Fabric, error) {
+func newFabric(insts []Instance, b build) (*Fabric, error) {
 	if err := fabric.Validate(len(insts)); err != nil {
 		return nil, err
 	}
 	runs := make([]Runtime, len(insts))
 	for p, inst := range insts {
-		r, err := f(inst)
+		r, err := b(inst)
 		if err != nil {
 			for _, started := range runs[:p] {
 				started.Close()
@@ -178,24 +144,4 @@ func (f *Fabric) Close() error {
 		errs[p] = r.Close()
 	}
 	return errors.Join(errs...)
-}
-
-// TCPSharded returns the sharded TCP builder: ONE coordinator server
-// hosting all P shard coordinators (per-shard ingest mutexes) and one
-// multiplexing connection per site carrying every shard's traffic in
-// shard-tagged frames — k connections total, not P×k.
-func TCPSharded(addr string) ShardedFactory {
-	return func(insts []Instance) (ShardedRuntime, error) {
-		if err := fabric.Validate(len(insts)); err != nil {
-			return nil, err
-		}
-		cfg := insts[0].Cfg
-		protos := make([]transport.Coordinator, len(insts))
-		machines := make([][]netsim.Site[core.Message], len(insts))
-		for p, inst := range insts {
-			protos[p] = inst.Coord
-			machines[p] = inst.Sites
-		}
-		return transport.NewShardedCluster(cfg, protos, machines, addr)
-	}
 }

@@ -34,23 +34,6 @@ func buildShardInstances(cfg core.Config, shards int, seed uint64, rec *core.Rec
 	return insts
 }
 
-// buildSharded mirrors the public API's runtime assembly: Single for
-// one shard, the native sharded TCP cluster, the generic fabric
-// composition otherwise.
-func buildSharded(name string, factory Factory, insts []Instance) (ShardedRuntime, error) {
-	if len(insts) == 1 {
-		r, err := factory(insts[0])
-		if err != nil {
-			return nil, err
-		}
-		return Single(r), nil
-	}
-	if name == "tcp" {
-		return TCPSharded("")(insts)
-	}
-	return NewFabric(insts, factory)
-}
-
 // TestFabricMatrixExactness drives the identical sharded protocol over
 // every runtime × shard-count combination and checks that the merged
 // per-shard query is exactly the brute-force top-s of all generated
@@ -63,7 +46,7 @@ func TestFabricMatrixExactness(t *testing.T) {
 				cfg := core.Config{K: 4, S: 8}
 				rec := core.NewRecorder()
 				insts := buildShardInstances(cfg, shards, 17, rec)
-				run, err := buildSharded(name, factory, insts)
+				run, err := factory(insts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +103,7 @@ func TestFabricFeedBatchSplit(t *testing.T) {
 				cfg := core.Config{K: 2, S: 5}
 				rec := core.NewRecorder()
 				insts := buildShardInstances(cfg, shards, 23, rec)
-				run, err := buildSharded(name, factory, insts)
+				run, err := factory(insts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,9 +161,9 @@ func TestFabricFeedBatchSplit(t *testing.T) {
 func TestFabricRouterConsistency(t *testing.T) {
 	const shards = 5
 	cfg := core.Config{K: 2, S: 4}
-	perShardIDs := func(name string, factory Factory) [][]uint64 {
+	perShardIDs := func(factory Factory) [][]uint64 {
 		insts := buildShardInstances(cfg, shards, 31, nil)
-		run, err := buildSharded(name, factory, insts)
+		run, err := factory(insts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +191,7 @@ func TestFabricRouterConsistency(t *testing.T) {
 		return out
 	}
 	for name, factory := range factories() {
-		got := perShardIDs(name, factory)
+		got := perShardIDs(factory)
 		for p := range got {
 			for _, id := range got[p] {
 				if want := fabric.ShardOf(id, shards); want != p {
@@ -243,11 +226,11 @@ func goroutineFabric(t *testing.T, k int) (*Fabric, [][]*idSite) {
 		}
 		insts[p] = Instance{Cfg: cfg, Coord: core.NewCoordinator(cfg, xrand.New(uint64(p))), Sites: SiteList(sites[p])}
 	}
-	f, err := NewFabric(insts, Goroutines())
+	run, err := Goroutines()(insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f, sites
+	return run.(*Fabric), sites
 }
 
 // In steady state the fabric's batch split reuses its buffers: feeding

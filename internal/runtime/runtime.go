@@ -1,9 +1,10 @@
 // Package runtime is the pluggable runtime layer: a protocol instance
 // is a (Coordinator, []Site) pair of transport-agnostic state machines,
-// and a Runtime is anything that can drive one — deliver arrivals to
-// sites, carry the resulting messages to the coordinator, and fan
-// broadcasts back.
+// and a runtime is anything that can drive P of them (P shards, 1 when
+// unsharded) — deliver arrivals to sites, carry the resulting messages
+// to the coordinators, and fan broadcasts back.
 //
+// There is one kind of Factory, from P instances to a ShardedRuntime.
 // Three runtimes ship with the repository, all driving the same
 // unchanged state machines:
 //
@@ -16,17 +17,24 @@
 //   - TCP: the deployment-shaped runtime (transport.Cluster) — a real
 //     CoordinatorServer plus one SiteClient connection per site, with
 //     batching, flow control, and the lock-minimized ingest path.
+//     TCPTree is the same over relay.TreeCluster.
+//
+// The in-process factories run one instance bare behind a one-shard
+// adapter and compose more through Fabric, one runtime per shard; the
+// TCP factories host every shard on one server, over one connection per
+// site.
 //
 // Because the split is sampler/communication-substrate (the design axis
 // of Hübschle-Schneider & Sanders, arXiv:1910.11069), every application
 // — plain SWOR, heavy hitters, L1 tracking — runs over every runtime:
-// the application supplies the instance, the runtime supplies delivery.
+// the application supplies the instances, the runtime supplies delivery.
 package runtime
 
 import (
 	"errors"
 
 	"wrs/internal/core"
+	"wrs/internal/fabric"
 	"wrs/internal/netsim"
 	"wrs/internal/relay"
 	"wrs/internal/stream"
@@ -34,12 +42,10 @@ import (
 )
 
 // Coordinator is the coordinator side of an instance: the plain sampler
-// coordinator or an application wrapper around it. Core exposes the
-// inner sampler for queries and transport-level snapshots.
-type Coordinator interface {
-	HandleMessage(m core.Message, bcast func(core.Message))
-	Core() *core.Coordinator
-}
+// coordinator or an application wrapper around it. It is the protocol a
+// transport server hosts; Core exposes the inner sampler for queries
+// and transport-level snapshots.
+type Coordinator = transport.Coordinator
 
 // Instance is one protocol instance, ready to be driven by a runtime.
 type Instance struct {
@@ -83,8 +89,50 @@ type Runtime interface {
 	Close() error
 }
 
-// Factory builds a runtime over an instance.
-type Factory func(inst Instance) (Runtime, error)
+// ShardedRuntime drives P protocol shards under the Runtime contract:
+// Feed routes each arrival to its item's shard (fabric.ShardOf),
+// FeedBatch splits batches per shard in one pass, and
+// Flush/Stats/Close fan out and aggregate. DoShard serializes with a
+// single shard's message processing — the read path for merging
+// per-shard coordinator state without stalling the other shards.
+type ShardedRuntime interface {
+	Runtime
+	// Shards returns the number of protocol shards.
+	Shards() int
+	// DoShard runs fn serialized with shard p's coordinator message
+	// processing only.
+	DoShard(p int, fn func())
+}
+
+// Factory builds a runtime over P instances that share one
+// configuration, one instance per shard.
+type Factory func(insts []Instance) (ShardedRuntime, error)
+
+// build starts a runtime over one instance: the per-shard step of the
+// in-process factories.
+type build func(inst Instance) (Runtime, error)
+
+// inProcess makes a Factory from a one-instance build: one instance
+// runs bare behind the one-shard adapter, more compose through Fabric.
+func inProcess(b build) Factory {
+	return func(insts []Instance) (ShardedRuntime, error) {
+		if len(insts) != 1 {
+			return newFabric(insts, b)
+		}
+		r, err := b(insts[0])
+		if err != nil {
+			return nil, err
+		}
+		return singleShard{r}, nil
+	}
+}
+
+// singleShard is the one-shard adapter: one instance's runtime under
+// the ShardedRuntime contract (DoShard(0) is Do).
+type singleShard struct{ Runtime }
+
+func (s singleShard) Shards() int              { return 1 }
+func (s singleShard) DoShard(_ int, fn func()) { s.Do(fn) }
 
 // Sequential returns the deterministic synchronous runtime: messages
 // and broadcasts are delivered inline inside Feed, exactly the model of
@@ -92,9 +140,16 @@ type Factory func(inst Instance) (Runtime, error)
 // Single-goroutine use only.
 func Sequential() Factory { return sequential }
 
-// sequential is built once: a Factory is a closure, and Open calls
-// Sequential() afresh for every handle.
-var sequential = SequentialTree(0, 0)
+// sequential and goroutines are built once: a Factory is a closure, and
+// Open calls Sequential() or Goroutines() afresh for every handle.
+var (
+	sequential = SequentialTree(0, 0)
+	goroutines = inProcess(func(inst Instance) (Runtime, error) {
+		cc := netsim.NewConcurrentCluster[core.Message](inst.Coord, inst.Sites)
+		cc.Start()
+		return &goRuntime{cc: cc}, nil
+	})
+)
 
 // SequentialTree returns the deterministic synchronous runtime over a
 // hierarchical relay tree (netsim.NewTreeCluster with relay.Machine
@@ -106,7 +161,7 @@ var sequential = SequentialTree(0, 0)
 // merge engages only when the instance's coordinator has opted in
 // (relay.UnionMergeable). Single-goroutine use only.
 func SequentialTree(fanout, depth int) Factory {
-	return func(inst Instance) (Runtime, error) {
+	return inProcess(func(inst Instance) (Runtime, error) {
 		s, merge := inst.Cfg.S, relay.UnionMergeable(inst.Coord)
 		c, err := netsim.NewTreeCluster[core.Message](inst.Coord, inst.Sites, fanout, depth,
 			func(int, int) netsim.TreeRelay[core.Message] { return relay.NewMachine(s, merge) })
@@ -114,26 +169,42 @@ func SequentialTree(fanout, depth int) Factory {
 			return nil, err
 		}
 		return &seqRuntime{c: c}, nil
-	}
+	})
 }
 
 // Goroutines returns the in-process asynchronous runtime: one goroutine
 // per site plus one for the coordinator, FIFO links both ways.
-func Goroutines() Factory {
-	return func(inst Instance) (Runtime, error) {
-		cc := netsim.NewConcurrentCluster[core.Message](inst.Coord, inst.Sites)
-		cc.Start()
-		return &goRuntime{cc: cc}, nil
+func Goroutines() Factory { return goroutines }
+
+// TCP returns the deployment-shaped runtime, a *transport.Cluster: ONE
+// CoordinatorServer listening on addr ("127.0.0.1:0" when empty — any
+// free loopback port) hosting every shard's coordinator behind its own
+// ingest mutex, and one SiteClient connection per site carrying every
+// shard's traffic in shard-tagged frames — k connections, not P×k.
+func TCP(addr string) Factory {
+	return func(insts []Instance) (ShardedRuntime, error) {
+		cfg, protos, machines, err := unzip(insts)
+		if err != nil {
+			return nil, err
+		}
+		return transport.NewCluster(cfg, protos, machines, addr, nil)
 	}
 }
 
-// TCP returns the deployment-shaped runtime: a CoordinatorServer
-// listening on addr ("127.0.0.1:0" when empty — any free loopback
-// port) and one SiteClient connection per site.
-func TCP(addr string) Factory {
-	return func(inst Instance) (Runtime, error) {
-		return transport.NewCluster(inst.Cfg, inst.Coord, inst.Sites, addr)
+// unzip splits P instances into what the TCP clusters take: the shared
+// configuration, the shard coordinators, and the site machines indexed
+// [shard][site].
+func unzip(insts []Instance) (core.Config, []Coordinator, [][]netsim.Site[core.Message], error) {
+	if err := fabric.Validate(len(insts)); err != nil {
+		return core.Config{}, nil, nil, err
 	}
+	protos := make([]Coordinator, len(insts))
+	machines := make([][]netsim.Site[core.Message], len(insts))
+	for p, inst := range insts {
+		protos[p] = inst.Coord
+		machines[p] = inst.Sites
+	}
+	return insts[0].Cfg, protos, machines, nil
 }
 
 // seqRuntime adapts netsim.Cluster. Everything is synchronous, so

@@ -43,7 +43,7 @@ func TestRuntimeMatrixExactness(t *testing.T) {
 			cfg := core.Config{K: 4, S: 8}
 			rec := core.NewRecorder()
 			inst := buildInstance(cfg, 11, rec)
-			run, err := factory(inst)
+			run, err := factory([]Instance{inst})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestRuntimeMatrixFeedBatch(t *testing.T) {
 			cfg := core.Config{K: 2, S: 5}
 			rec := core.NewRecorder()
 			inst := buildInstance(cfg, 23, rec)
-			run, err := factory(inst)
+			run, err := factory([]Instance{inst})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func TestRuntimeFeedAfterClose(t *testing.T) {
 	for name, factory := range factories() {
 		t.Run(name, func(t *testing.T) {
 			cfg := core.Config{K: 2, S: 2}
-			run, err := factory(buildInstance(cfg, 7, nil))
+			run, err := factory([]Instance{buildInstance(cfg, 7, nil)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestRuntimeSiteRange(t *testing.T) {
 	for name, factory := range factories() {
 		t.Run(name, func(t *testing.T) {
 			cfg := core.Config{K: 2, S: 2}
-			run, err := factory(buildInstance(cfg, 7, nil))
+			run, err := factory([]Instance{buildInstance(cfg, 7, nil)})
 			if err != nil {
 				t.Fatal(err)
 			}

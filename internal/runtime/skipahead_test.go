@@ -25,7 +25,7 @@ func TestSkipAheadMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				cfg := core.Config{K: 4, S: 8, SkipAhead: true}
 				insts := buildShardInstances(cfg, shards, 17, nil)
-				run, err := buildSharded(name, factory, insts)
+				run, err := factory(insts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -33,29 +33,19 @@ type Cluster struct {
 	teardown func() error // the aggregation tier's, or nil
 }
 
-// NewCluster starts a coordinator server for coord on addr
-// ("127.0.0.1:0" when empty) and connects one SiteClient per site
-// machine. On error everything already started is torn down.
-func NewCluster(cfg core.Config, coord Coordinator, sites []netsim.Site[core.Message], addr string) (*Cluster, error) {
-	return NewShardedCluster(cfg, []Coordinator{coord}, [][]netsim.Site[core.Message]{sites}, addr)
-}
-
-// NewShardedCluster starts one coordinator server hosting len(protos)
-// protocol shards and connects one multiplexing SiteClient per site.
-// machines is indexed [shard][site]: machines[p][i] is site i's state
-// machine for shard p. On error everything already started is torn
+// NewCluster starts one coordinator server on addr ("127.0.0.1:0"
+// when empty) hosting len(protos) protocol shards, and connects one
+// multiplexing SiteClient per site. machines is indexed [shard][site]:
+// machines[p][i] is site i's state machine for shard p.
+//
+// tier attaches the sites through an aggregation tier (package relay)
+// instead of straight to the server; nil dials the server directly.
+// tier has the shape of IngestBenchOpts.TreeDial: it receives the
+// server address, builds the tier, and returns site i's dial address
+// plus a teardown, which Close runs after closing the sites and before
+// closing the server. On error everything already started is torn
 // down.
-func NewShardedCluster(cfg core.Config, protos []Coordinator, machines [][]netsim.Site[core.Message], addr string) (*Cluster, error) {
-	return NewShardedClusterVia(cfg, protos, machines, addr, nil)
-}
-
-// NewShardedClusterVia is NewShardedCluster with the sites attached
-// through an aggregation tier (package relay) instead of straight to the
-// server. tier has the shape of IngestBenchOpts.TreeDial: it receives
-// the server address, builds the tier, and returns site i's dial
-// address plus a teardown, which Close runs after closing the sites and
-// before closing the server. A nil tier dials the server directly.
-func NewShardedClusterVia(cfg core.Config, protos []Coordinator, machines [][]netsim.Site[core.Message], addr string, tier func(serverAddr string) (dialAddr func(site int) string, teardown func() error, err error)) (*Cluster, error) {
+func NewCluster(cfg core.Config, protos []Coordinator, machines [][]netsim.Site[core.Message], addr string, tier func(serverAddr string) (dialAddr func(site int) string, teardown func() error, err error)) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

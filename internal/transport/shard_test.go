@@ -203,7 +203,7 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 			sitesByShard[p][i] = core.NewSite(i, cfg, master.Split())
 		}
 	}
-	cluster, err := NewShardedCluster(cfg, protos, sitesByShard, "")
+	cluster, err := NewCluster(cfg, protos, sitesByShard, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,14 +110,7 @@ func NewCoordinatorServer(cfg core.Config, rng *xrand.RNG) (*CoordinatorServer, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return NewCoordinatorServerFor(cfg, core.NewCoordinator(cfg, rng))
-}
-
-// NewCoordinatorServerFor builds a single-shard server hosting the
-// given coordinator protocol — the plain sampler, or an application
-// wrapper around it.
-func NewCoordinatorServerFor(cfg core.Config, proto Coordinator) (*CoordinatorServer, error) {
-	return NewShardedCoordinatorServer(cfg, []Coordinator{proto})
+	return NewShardedCoordinatorServer(cfg, []Coordinator{core.NewCoordinator(cfg, rng)})
 }
 
 // NewShardedCoordinatorServer builds a server hosting one protocol
@@ -411,19 +404,6 @@ func DialSite(addr string, id int, cfg core.Config, rng *xrand.RNG) (*SiteClient
 	return NewSiteClient(conn, id, cfg, rng)
 }
 
-// DialSiteFor connects an arbitrary site state machine — e.g. the L1
-// tracker's duplicating site — to the coordinator at addr.
-func DialSiteFor(addr string, machine netsim.Site[core.Message], cfg core.Config) (*SiteClient, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewSiteClientFor(conn, machine, cfg)
-}
-
 // NewSiteClient runs a plain sampler site over an established
 // connection (DialSite with the dialing factored out — tests and custom
 // transports hand in pipes or pre-configured conns).
@@ -431,19 +411,7 @@ func NewSiteClient(conn net.Conn, id int, cfg core.Config, rng *xrand.RNG) (*Sit
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return NewSiteClientFor(conn, core.NewSite(id, cfg, rng), cfg)
-}
-
-// NewSiteClientFor runs an arbitrary site state machine over an
-// established connection. The machine's messages are framed and
-// batched like a plain sampler site's; cfg supplies the staleness
-// window. The window is enforced between updates (a sync cannot be
-// interleaved into a running state-machine callback), so for a machine
-// that emits m messages per update the staleness bound is W + m - 1
-// rather than W — still a constant for any fixed configuration (the L1
-// duplicating site has m <= l).
-func NewSiteClientFor(conn net.Conn, machine netsim.Site[core.Message], cfg core.Config) (*SiteClient, error) {
-	return NewShardedSiteClient(conn, []netsim.Site[core.Message]{machine}, cfg)
+	return NewShardedSiteClient(conn, []netsim.Site[core.Message]{core.NewSite(id, cfg, rng)}, cfg)
 }
 
 // NewShardedSiteClient runs one site's P shard state machines over a
@@ -452,6 +420,15 @@ func NewSiteClientFor(conn net.Conn, machine netsim.Site[core.Message], cfg core
 // (fabric.ShardOf) and all traffic is multiplexed over the connection
 // with shard-tagged frames; with one machine the frames are untagged
 // and the client behaves exactly like the unsharded transport.
+//
+// A machine may be any site state machine — the plain sampler site or
+// an application's, such as the L1 tracker's duplicating site; its
+// messages are framed and batched like a plain sampler site's, and cfg
+// supplies the staleness window. The window is enforced between updates
+// (a sync cannot be interleaved into a running state-machine callback),
+// so for a machine that emits m messages per update the staleness bound
+// is W + m - 1 rather than W — still a constant for any fixed
+// configuration (the L1 duplicating site has m <= l).
 func NewShardedSiteClient(conn net.Conn, machines []netsim.Site[core.Message], cfg core.Config) (*SiteClient, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -43,7 +43,7 @@ func TestWindowedOverShardedTCP(t *testing.T) {
 		}
 	}
 
-	cluster, err := NewShardedCluster(cfg, protos, machines, "127.0.0.1:0")
+	cluster, err := NewCluster(cfg, protos, machines, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

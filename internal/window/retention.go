@@ -163,7 +163,7 @@ func (r *Retention) Compact() {
 		if len(h) == r.s && h[0] > e.Key {
 			continue // >= s later live entries hold strictly larger keys
 		}
-		h = pushTopKey(h, e.Key, r.s)
+		h = PushTopKey(h, e.Key, r.s)
 		out--
 		live[out] = e
 	}
@@ -178,8 +178,9 @@ func (r *Retention) Compact() {
 	r.setPruneAt(n)
 }
 
-// pushTopKey folds k into the min-heap h of the up-to-s largest keys.
-func pushTopKey(h []float64, k float64, s int) []float64 {
+// PushTopKey folds k into the min-heap h of the up-to-s largest keys:
+// the compaction step of Retention and of core.WindowSite.
+func PushTopKey(h []float64, k float64, s int) []float64 {
 	if len(h) < s {
 		h = append(h, k)
 		for c := len(h) - 1; c > 0; {

@@ -293,3 +293,38 @@ func TestObserveBatchAllocsGoroutinesSharded(t *testing.T) {
 		t.Errorf("ObserveBatch: %v allocations per call, want 1", got)
 	}
 }
+
+// TestOpenAllocs pins what Open then Close allocates on the two
+// in-process shapes of the end-to-end benchmark (perf/): the sampler on
+// the Sequential runtime (seq-pareto) and the windowed app on two
+// goroutine shards (go-window). The benchmark's setup time is Open's, so
+// the runtime assembly must not grow: a factory closure built per call,
+// for one, adds allocations to every Open.
+func TestOpenAllocs(t *testing.T) {
+	cases := []struct {
+		name string
+		open func() (interface{ Close() error }, error)
+		want float64
+	}{
+		{"Open(Sampler(64, 64))", func() (interface{ Close() error }, error) {
+			return Open(Sampler(64, 64))
+		}, 210},
+		{"Open(Windowed(2, 64, 65536), WithRuntime(Goroutines()), WithShards(2))", func() (interface{ Close() error }, error) {
+			return Open(Windowed(2, 64, 65536), WithRuntime(Goroutines()), WithShards(2))
+		}, 91},
+	}
+	for _, c := range cases {
+		got := testing.AllocsPerRun(20, func() {
+			h, err := c.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s then Close: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -57,8 +57,7 @@ func fromNetsim(s netsim.Stats) Stats {
 // cluster, or real TCP connections. The zero value means Sequential.
 type RuntimeSpec struct {
 	name    string
-	factory rt.Factory
-	sharded rt.ShardedFactory // optional shard-native builder (TCP)
+	factory rt.Factory // nil: Sequential
 }
 
 // String returns the runtime's name ("sequential" for the zero value).
@@ -67,37 +66,6 @@ func (r RuntimeSpec) String() string {
 		return "sequential"
 	}
 	return r.name
-}
-
-func (r RuntimeSpec) factoryOrDefault() rt.Factory {
-	if r.factory == nil {
-		return rt.Sequential()
-	}
-	return r.factory
-}
-
-func (r RuntimeSpec) build(inst rt.Instance) (rt.Runtime, error) {
-	return r.factoryOrDefault()(inst)
-}
-
-// buildSharded assembles the runtime for P shard instances. With one
-// instance it is exactly the pre-fabric single-runtime path (so
-// WithShards(1) stays bit-identical); with more it uses the runtime's
-// shard-native builder when there is one (TCP: one server, k
-// multiplexed connections) and the generic per-instance fabric
-// composition otherwise.
-func (r RuntimeSpec) buildSharded(insts []rt.Instance) (rt.ShardedRuntime, error) {
-	if len(insts) == 1 {
-		run, err := r.build(insts[0])
-		if err != nil {
-			return nil, err
-		}
-		return rt.Single(run), nil
-	}
-	if r.sharded != nil {
-		return r.sharded(insts)
-	}
-	return rt.NewFabric(insts, r.factoryOrDefault())
 }
 
 // Sequential is the default runtime: the deterministic synchronous
@@ -123,7 +91,7 @@ func TCP(addr string) RuntimeSpec {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	return RuntimeSpec{name: "tcp(" + addr + ")", factory: rt.TCP(addr), sharded: rt.TCPSharded(addr)}
+	return RuntimeSpec{name: "tcp(" + addr + ")", factory: rt.TCP(addr)}
 }
 
 // SequentialTree is the deterministic synchronous runtime over a
@@ -158,7 +126,6 @@ func TCPTree(addr string, fanout, depth int) RuntimeSpec {
 	return RuntimeSpec{
 		name:    fmt.Sprintf("tcptree(%s,fanout=%d,depth=%d)", addr, fanout, depth),
 		factory: rt.TCPTree(addr, fanout, depth),
-		sharded: rt.TCPTreeSharded(addr, fanout, depth),
 	}
 }
 
