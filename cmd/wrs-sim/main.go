@@ -57,6 +57,9 @@ func main() {
 	runtimeName := flag.String("runtime", "sequential", "runtime: sequential, goroutines, tcp")
 	shards := flag.Int("shards", 1, "protocol shards (parallel coordinator instances, exact merged query)")
 	flag.Parse()
+	if *n < 1 {
+		fatal(fmt.Sprintf("need at least 1 update (-n), got %d", *n))
+	}
 
 	var wf stream.WeightFn
 	switch *workload {

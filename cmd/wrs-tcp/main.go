@@ -74,6 +74,9 @@ func main() {
 	shards := flag.Int("shards", 1, "protocol shards (parallel coordinator locks, exact merged query)")
 	tree := flag.String("tree", "", "relay tree shape, e.g. fanout=4,depth=2 (empty = flat)")
 	flag.Parse()
+	if *n < 1 {
+		fatal(fmt.Sprintf("need at least 1 update (-n), got %d", *n))
+	}
 	if *batch < 1 {
 		*batch = 1
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"wrs/internal/sample"
 	"wrs/internal/stream"
@@ -31,11 +30,6 @@ type CoordStats struct {
 // Broadcasts returns the number of coordinator broadcasts performed.
 func (s CoordStats) Broadcasts() int64 { return s.Saturations + s.EpochAdvances }
 
-type levelState struct {
-	count     int
-	saturated bool
-}
-
 // poolItem tags a withheld item with its level so saturation can release
 // exactly the items of that level from the O(s)-bounded pool.
 type poolItem struct {
@@ -45,19 +39,20 @@ type poolItem struct {
 
 // Coordinator is the state machine of Algorithms 2 and 3. Per
 // Proposition 6 it stores O(s) machine words: the sample heap S, the
-// level pool (the top-s keys among withheld items, see DESIGN.md), and
-// one counter per non-empty level.
+// level pool (the top-s keys among withheld items, see DESIGN.md), one
+// early-message counter per level up to the highest level seen (at most
+// MaxLevel+1), and the ControlPlane its broadcasts have built.
 type Coordinator struct {
 	cfg Config
 	r   float64
 	rng *xrand.RNG
 	rec *Recorder
 
-	smp    *sample.TopK[stream.Item] // S: top-s released keys
-	u      float64                   // min key of S once |S| = s, else 0
-	curTh  float64                   // last broadcast threshold
-	levels map[int]*levelState
-	pool   *sample.TopK[poolItem] // Slevel: top-s withheld keys
+	smp   *sample.TopK[stream.Item] // S: top-s released keys
+	u     float64                   // min key of S once |S| = s, else 0
+	plane ControlPlane              // fold of every broadcast sent
+	early []int                     // early messages counted, per level
+	pool  *sample.TopK[poolItem]    // Slevel: top-s withheld keys
 
 	Stats CoordStats
 }
@@ -69,12 +64,11 @@ func NewCoordinator(cfg Config, rng *xrand.RNG) *Coordinator {
 		panic(err)
 	}
 	return &Coordinator{
-		cfg:    cfg,
-		r:      cfg.R(),
-		rng:    rng,
-		smp:    sample.NewTopK[stream.Item](cfg.S),
-		levels: make(map[int]*levelState),
-		pool:   sample.NewTopK[poolItem](cfg.S),
+		cfg:  cfg,
+		r:    cfg.R(),
+		rng:  rng,
+		smp:  sample.NewTopK[stream.Item](cfg.S),
+		pool: sample.NewTopK[poolItem](cfg.S),
 	}
 }
 
@@ -101,7 +95,12 @@ func (c *Coordinator) Core() *Coordinator { return c }
 func (c *Coordinator) DropBelow() float64 { return c.u }
 
 // CurrentThreshold returns the last broadcast epoch threshold.
-func (c *Coordinator) CurrentThreshold() float64 { return c.curTh }
+func (c *Coordinator) CurrentThreshold() float64 { return c.plane.Threshold() }
+
+// ControlPlane returns the fold of every broadcast the coordinator has
+// sent: what a site that missed none of them filters with, and what a
+// late joiner replays (DESIGN.md §5.3).
+func (c *Coordinator) ControlPlane() ControlPlane { return c.plane }
 
 // UnionTopSMergeable declares that every answer built on this
 // coordinator depends only on the top-s keys (and their items) of the
@@ -148,16 +147,11 @@ func (c *Coordinator) HandleMessage(m Message, bcast func(Message)) {
 
 func (c *Coordinator) handleEarly(it stream.Item, bcast func(Message)) {
 	j := levelOf(it.Weight, c.r)
-	lv := c.levels[j]
-	if lv == nil {
-		lv = &levelState{}
-		c.levels[j] = lv
-	}
 	key := c.rng.ExpKey(it.Weight)
 	if c.rec != nil {
 		c.rec.Record(it.ID, key)
 	}
-	if lv.saturated {
+	if c.plane.Saturated(j) {
 		// An early message raced with the saturation broadcast (async
 		// runtimes only): treat the item as released immediately.
 		c.Stats.LateEarlyMsgs++
@@ -165,17 +159,19 @@ func (c *Coordinator) handleEarly(it stream.Item, bcast func(Message)) {
 		c.maybeAdvanceEpoch(bcast)
 		return
 	}
-	lv.count++
+	if j >= len(c.early) {
+		c.early = append(c.early, make([]int, j+1-len(c.early))...)
+	}
+	c.early[j]++
 	c.pool.Offer(key, poolItem{item: it, level: j})
-	if lv.count >= c.cfg.LevelCap() {
-		c.saturate(j, lv, bcast)
+	if c.early[j] >= c.cfg.LevelCap() {
+		c.saturate(j, bcast)
 	}
 }
 
 // saturate releases level j: all pool entries of that level move into the
 // sample, the level is marked saturated, and the sites are notified.
-func (c *Coordinator) saturate(j int, lv *levelState, bcast func(Message)) {
-	lv.saturated = true
+func (c *Coordinator) saturate(j int, bcast func(Message)) {
 	c.Stats.Saturations++
 	kept := c.pool.Items()
 	var released []sample.Entry[poolItem]
@@ -194,8 +190,15 @@ func (c *Coordinator) saturate(j int, lv *levelState, bcast func(Message)) {
 	for _, e := range released {
 		c.addToSample(e.Key, e.Val.item)
 	}
-	bcast(Message{Kind: MsgLevelSaturated, Level: j})
+	c.announce(Message{Kind: MsgLevelSaturated, Level: j}, bcast)
 	c.maybeAdvanceEpoch(bcast)
+}
+
+// announce folds a broadcast into the coordinator's control plane and
+// sends it to the sites.
+func (c *Coordinator) announce(m Message, bcast func(Message)) {
+	c.plane.Apply(m)
+	bcast(m)
 }
 
 // addToSample is Algorithm 3 without the broadcast (the caller batches
@@ -213,11 +216,9 @@ func (c *Coordinator) maybeAdvanceEpoch(bcast func(Message)) {
 	if c.cfg.DisableEpochs {
 		return
 	}
-	th := epochThreshold(c.u, c.r)
-	if th > c.curTh {
-		c.curTh = th
+	if th := epochThreshold(c.u, c.r); th > c.plane.Threshold() {
 		c.Stats.EpochAdvances++
-		bcast(Message{Kind: MsgEpochUpdate, Threshold: th})
+		c.announce(Message{Kind: MsgEpochUpdate, Threshold: th}, bcast)
 	}
 }
 
@@ -290,12 +291,10 @@ func (c *Coordinator) WithheldCount() int { return c.pool.Len() }
 // SaturatedLevels returns the indices of saturated levels, ascending.
 func (c *Coordinator) SaturatedLevels() []int {
 	var out []int
-	//wrslint:allow detrand order-insensitive traversal: the levels map holds no order and out is sorted below
-	for j, lv := range c.levels {
-		if lv.saturated {
-			out = append(out, j)
+	c.plane.Snapshot(func(m Message) {
+		if m.Kind == MsgLevelSaturated {
+			out = append(out, m.Level)
 		}
-	}
-	sort.Ints(out)
+	})
 	return out
 }

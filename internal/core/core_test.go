@@ -80,12 +80,20 @@ func TestLevelOfBoundaries(t *testing.T) {
 		// coordinator in forged messages.
 		{math.MaxFloat64, 2, 1023}, {math.Inf(1), 2, 1023}, {math.NaN(), 2, 0},
 		{math.Inf(-1), 2, 0}, {math.Copysign(0, -1), 2, 0}, {5e-324, 2, 0},
+		// ControlPlane's level set has MaxLevel+1 bits: the largest
+		// weight reaches exactly MaxLevel at the smallest base r = 2,
+		// and a larger base only lowers it.
+		{math.Inf(1), 2, MaxLevel}, {math.MaxFloat64, 2.5, 774}, {math.MaxFloat64, 4.5, 471},
+		{math.MaxFloat64, 64, 170}, {math.MaxFloat64, 1e6, 51},
 	}
 	for _, c := range cases {
 		var got int
 		returnsWithin(t, fmt.Sprintf("levelOf(%v, %v)", c.w, c.r), func() { got = levelOf(c.w, c.r) })
 		if got != c.want {
 			t.Errorf("levelOf(%v, %v) = %d, want %d", c.w, c.r, got, c.want)
+		}
+		if got > MaxLevel {
+			t.Errorf("levelOf(%v, %v) = %d, above MaxLevel %d", c.w, c.r, got, MaxLevel)
 		}
 	}
 }

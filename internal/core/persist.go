@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"wrs/internal/stream"
 	"wrs/internal/xrand"
@@ -52,11 +52,11 @@ func (c *Coordinator) ExportState() *CoordinatorState {
 		Cfg:       c.cfg,
 		RNG:       c.rng.State(),
 		U:         c.u,
-		Threshold: c.curTh,
+		Threshold: c.plane.Threshold(),
 		Stats:     c.Stats,
 		Sample:    make([]SampleEntry, 0, c.smp.Len()),
 		Pool:      make([]PoolEntryState, 0, c.pool.Len()),
-		Levels:    make([]LevelStateEntry, 0, len(c.levels)),
+		Levels:    make([]LevelStateEntry, 0, len(c.early)),
 	}
 	for _, e := range c.smp.Items() {
 		st.Sample = append(st.Sample, SampleEntry{Key: e.Key, Item: e.Val})
@@ -64,11 +64,11 @@ func (c *Coordinator) ExportState() *CoordinatorState {
 	for _, e := range c.pool.Items() {
 		st.Pool = append(st.Pool, PoolEntryState{Key: e.Key, Item: e.Val.item, Level: e.Val.level})
 	}
-	//wrslint:allow detrand order-insensitive traversal: the snapshot is sorted by level below
-	for j, lv := range c.levels {
-		st.Levels = append(st.Levels, LevelStateEntry{Level: j, Count: lv.count, Saturated: lv.saturated})
+	for j, n := range c.early {
+		if sat := c.plane.Saturated(j); n > 0 || sat {
+			st.Levels = append(st.Levels, LevelStateEntry{Level: j, Count: n, Saturated: sat})
+		}
 	}
-	sort.Slice(st.Levels, func(i, j int) bool { return st.Levels[i].Level < st.Levels[j].Level })
 	if mutationDropPool {
 		st.Pool = nil // planted checkpoint bug (wrsmutation builds only)
 	}
@@ -91,10 +91,13 @@ func (st *CoordinatorState) Validate() error {
 	if len(st.Pool) > st.Cfg.S {
 		return fmt.Errorf("core: snapshot pool holds %d entries, cap %d", len(st.Pool), st.Cfg.S)
 	}
+	if !(st.Threshold >= 0) || st.Threshold > math.MaxFloat64 {
+		return fmt.Errorf("core: snapshot threshold %v is not finite and nonnegative", st.Threshold)
+	}
 	seen := -1
 	for _, lv := range st.Levels {
-		if lv.Level < 0 || lv.Level <= seen {
-			return fmt.Errorf("core: snapshot levels not ascending and nonnegative at level %d", lv.Level)
+		if lv.Level < 0 || lv.Level <= seen || lv.Level > MaxLevel {
+			return fmt.Errorf("core: snapshot levels not ascending within [0, %d] at level %d", MaxLevel, lv.Level)
 		}
 		seen = lv.Level
 		if lv.Count < 0 {
@@ -136,7 +139,7 @@ func (c *Coordinator) RestoreState(st *CoordinatorState) error {
 	}
 	c.rng = xrand.NewFromState(st.RNG)
 	c.u = st.U
-	c.curTh = st.Threshold
+	c.plane = ControlPlane{threshold: st.Threshold}
 	c.Stats = st.Stats
 	c.smp.Reset()
 	for _, e := range st.Sample {
@@ -146,9 +149,13 @@ func (c *Coordinator) RestoreState(st *CoordinatorState) error {
 	for _, e := range st.Pool {
 		c.pool.Offer(e.Key, poolItem{item: e.Item, level: e.Level})
 	}
-	c.levels = make(map[int]*levelState, len(st.Levels))
+	c.early = c.early[:0]
 	for _, lv := range st.Levels {
-		c.levels[lv.Level] = &levelState{count: lv.Count, saturated: lv.Saturated}
+		c.early = append(c.early, make([]int, lv.Level+1-len(c.early))...)
+		c.early[lv.Level] = lv.Count
+		if lv.Saturated {
+			c.plane.Apply(Message{Kind: MsgLevelSaturated, Level: lv.Level})
+		}
 	}
 	return nil
 }

@@ -136,6 +136,12 @@ func TestValidateRejectsCorruptSnapshots(t *testing.T) {
 		{"negative count", func(st *CoordinatorState) {
 			st.Levels = []LevelStateEntry{{Level: 0, Count: -3}}
 		}},
+		{"level above MaxLevel", func(st *CoordinatorState) {
+			st.Levels = append(st.Levels, LevelStateEntry{Level: MaxLevel + 1, Count: 1, Saturated: true})
+		}},
+		{"NaN threshold", func(st *CoordinatorState) { st.Threshold = math.NaN() }},
+		{"negative threshold", func(st *CoordinatorState) { st.Threshold = -5 }},
+		{"infinite threshold", func(st *CoordinatorState) { st.Threshold = math.Inf(1) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -148,6 +154,48 @@ func TestValidateRejectsCorruptSnapshots(t *testing.T) {
 				t.Error("RestoreCoordinator accepted corrupt snapshot")
 			}
 		})
+	}
+}
+
+// TestExportStateValidUnderExtremeWeights feeds the heaviest weights a
+// message can carry: the checkpoint still names no level above
+// MaxLevel and no threshold that is not finite, so it validates and
+// restores.
+func TestExportStateValidUnderExtremeWeights(t *testing.T) {
+	cfg := Config{K: 2, S: 2}
+	c := NewCoordinator(cfg, xrand.New(31))
+	var bcasts []Message
+	bcast := func(m Message) { bcasts = append(bcasts, m) }
+	for i := 0; i < cfg.LevelCap()+4; i++ {
+		w := math.MaxFloat64
+		if i%2 == 1 {
+			w = math.Inf(1)
+		}
+		c.HandleMessage(Message{Kind: MsgEarly, Item: stream.Item{ID: uint64(i), Weight: w}}, bcast)
+	}
+	if lv := c.SaturatedLevels(); len(lv) != 1 || lv[0] != MaxLevel {
+		t.Fatalf("saturated levels %v, want [%d]", lv, MaxLevel)
+	}
+	st := c.ExportState()
+	if err := st.Validate(); err != nil {
+		t.Fatalf("exported state invalid: %v", err)
+	}
+	restored, err := RestoreCoordinator(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.ExportState(), st) {
+		t.Error("re-exported state differs from original snapshot")
+	}
+	if restored.ControlPlane() != c.ControlPlane() {
+		t.Error("restored control plane differs")
+	}
+	var replay ControlPlane
+	for _, m := range bcasts {
+		replay.Apply(m)
+	}
+	if replay != c.ControlPlane() {
+		t.Error("coordinator plane is not the fold of its broadcasts")
 	}
 }
 

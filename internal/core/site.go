@@ -6,18 +6,16 @@ import (
 )
 
 // Site is the per-site state machine of Algorithm 1. It holds O(1) words
-// of state — the current epoch threshold plus one saturation bit per
-// level (at most log_r(W) bits, i.e. O(1) machine words) — and does O(1)
-// expected work per update.
+// of state — its ControlPlane, the epoch threshold plus one saturation
+// bit per level — and does O(1) expected work per update.
 type Site struct {
-	id        int
-	cfg       Config
-	r         float64
-	rng       *xrand.RNG
-	threshold float64
-	saturated map[int]bool
-	rec       *Recorder
-	jump      xrand.Jump // armed A-ExpJ jump (Config.SkipAhead only)
+	id    int
+	cfg   Config
+	r     float64
+	rng   *xrand.RNG
+	plane ControlPlane
+	rec   *Recorder
+	jump  xrand.Jump // armed A-ExpJ jump (Config.SkipAhead only)
 
 	// Diagnostics.
 	DecisionBits int64 // random bits used by threshold comparisons
@@ -34,13 +32,7 @@ func NewSite(id int, cfg Config, rng *xrand.RNG) *Site {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Site{
-		id:        id,
-		cfg:       cfg,
-		r:         cfg.R(),
-		rng:       rng,
-		saturated: make(map[int]bool),
-	}
+	return &Site{id: id, cfg: cfg, r: cfg.R(), rng: rng}
 }
 
 // ID returns the site's identifier.
@@ -50,7 +42,7 @@ func (st *Site) ID() int { return st.id }
 func (st *Site) SetRecorder(rec *Recorder) { st.rec = rec }
 
 // Threshold returns the site's current filtering threshold.
-func (st *Site) Threshold() float64 { return st.threshold }
+func (st *Site) Threshold() float64 { return st.plane.Threshold() }
 
 // Observe processes one local arrival, emitting any resulting message
 // through send. It is the hot path: one lazy threshold comparison
@@ -64,12 +56,12 @@ func (st *Site) Observe(it stream.Item, send func(Message)) error {
 	}
 	st.Observed++
 	j := levelOf(it.Weight, st.r)
-	if !st.cfg.DisableLevelSets && !st.saturated[j] {
+	if !st.cfg.DisableLevelSets && !st.plane.Saturated(j) {
 		st.Sent++
 		send(Message{Kind: MsgEarly, Item: it})
 		return nil
 	}
-	th := st.threshold
+	th := st.plane.Threshold()
 	if st.cfg.DisableEpochs {
 		th = 0
 	}
@@ -126,11 +118,11 @@ func (st *Site) ObserveBatch(items []stream.Item, send func(Message)) error {
 		if err := validWeight(it.Weight); err != nil {
 			return err
 		}
-		th := st.threshold
+		th := st.plane.Threshold()
 		if st.cfg.DisableEpochs {
 			th = 0
 		}
-		if th <= 0 || (!st.cfg.DisableLevelSets && !st.saturated[levelOf(it.Weight, st.r)]) {
+		if th <= 0 || (!st.cfg.DisableLevelSets && !st.plane.Saturated(levelOf(it.Weight, st.r))) {
 			// Early and no-epoch arrivals take the one-by-one path
 			// verbatim, keeping the batch bit-identical to an Observe
 			// loop (same RNG draws in the same order).
@@ -150,7 +142,7 @@ func (st *Site) ObserveBatch(items []stream.Item, send func(Message)) error {
 			if validWeight(it.Weight) != nil {
 				break // surface the error through the outer re-check
 			}
-			if !st.cfg.DisableLevelSets && !st.saturated[levelOf(it.Weight, st.r)] {
+			if !st.cfg.DisableLevelSets && !st.plane.Saturated(levelOf(it.Weight, st.r)) {
 				break
 			}
 			i++
@@ -196,7 +188,7 @@ func (st *Site) ObserveRepeated(it stream.Item, count int, send func(Message)) e
 	// Withheld copies go out one by one until the level saturates (the
 	// saturation broadcast may flip the flag mid-loop in the synchronous
 	// runtime, which is why the flag is re-checked per copy).
-	for count > 0 && !st.cfg.DisableLevelSets && !st.saturated[j] {
+	for count > 0 && !st.cfg.DisableLevelSets && !st.plane.Saturated(j) {
 		st.Observed++
 		st.Sent++
 		send(Message{Kind: MsgEarly, Item: it})
@@ -212,7 +204,7 @@ func (st *Site) ObserveRepeated(it stream.Item, count int, send func(Message)) e
 	// rather than carried in st.jump so the copies of one call never
 	// share randomness with surrounding Observe arrivals.
 	for count > 0 {
-		th := st.threshold
+		th := st.plane.Threshold()
 		if st.cfg.DisableEpochs {
 			th = 0
 		}
@@ -239,21 +231,10 @@ func (st *Site) ObserveRepeated(it stream.Item, count int, send func(Message)) e
 	return nil
 }
 
-// HandleBroadcast applies a coordinator announcement. It never sends.
+// HandleBroadcast applies a coordinator announcement to the site's
+// control plane (ControlPlane.Apply, which ignores what no coordinator
+// sends). It never sends.
 func (st *Site) HandleBroadcast(m Message) {
 	st.Applied++
-	switch m.Kind {
-	case MsgLevelSaturated:
-		st.saturated[m.Level] = true
-	case MsgEpochUpdate:
-		// Thresholds are monotone; the guard tolerates out-of-order
-		// delivery in asynchronous runtimes.
-		if m.Threshold > st.threshold {
-			st.threshold = m.Threshold
-		}
-	default:
-		// Upstream kinds (MsgEarly, MsgRegular) and the window kinds
-		// are never broadcast; a sampler site ignores them rather than
-		// corrupting its filter state.
-	}
+	st.plane.Apply(m)
 }

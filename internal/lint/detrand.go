@@ -54,6 +54,10 @@ var detrandPkgs = []string{
 	// goroutine runtime reads no clock or map order either, and its
 	// Flush barrier waits on events, not timers).
 	"wrs/internal/netsim",
+	// The relay filter machine runs inside that driver
+	// (SequentialTree) and the chaos engine; its TCP half shares the
+	// package but reads no clock or map order.
+	"wrs/internal/relay",
 	// The experiment suite renders the reproduction tables.
 	"wrs/internal/bench",
 }

@@ -57,9 +57,8 @@ type ConcurrentCluster[M Msg] struct {
 	coordWG sync.WaitGroup
 	started bool
 
-	drainMu    sync.Mutex
-	drained    bool
-	finalStats Stats
+	drainMu sync.Mutex
+	drained bool
 }
 
 // NewConcurrentCluster assembles the runtime; call Start before feeding.
@@ -274,7 +273,7 @@ func (cc *ConcurrentCluster[M]) Drain() (Stats, error) {
 	cc.drainMu.Lock()
 	defer cc.drainMu.Unlock()
 	if cc.drained {
-		return cc.finalStats, cc.Err()
+		return cc.Stats(), cc.Err()
 	}
 	cc.feedMu.Lock()
 	cc.closed = true
@@ -288,7 +287,6 @@ func (cc *ConcurrentCluster[M]) Drain() (Stats, error) {
 	for _, b := range cc.boxes {
 		b.Close()
 	}
-	cc.finalStats = cc.Stats()
 	cc.drained = true
-	return cc.finalStats, cc.Err()
+	return cc.Stats(), cc.Err()
 }

@@ -35,25 +35,22 @@
 package relay
 
 import (
-	"sort"
-
 	"wrs/internal/core"
 	"wrs/internal/sample"
 	"wrs/internal/wire"
 )
 
 // Machine is the per-(relay, shard) filter state machine: the monotone
-// control-plane view (last broadcast threshold, saturated levels) used
-// for pre-filtering and child join snapshots, plus the optional top-s
-// merge heap. It implements netsim.TreeRelay[core.Message], so the
-// deterministic driver (netsim.Cluster, under the sequential runtime
-// and the chaos engine alike) and the TCP relay share one filtering
-// implementation. Not safe for concurrent use; the TCP relay serializes
-// access under its parent-writer mutex.
+// control-plane view (a core.ControlPlane) used for pre-filtering and
+// child join snapshots, plus the optional top-s merge heap. It
+// implements netsim.TreeRelay[core.Message], so the deterministic
+// driver (netsim.Cluster, under the sequential runtime and the chaos
+// engine alike) and the TCP relay share one filtering implementation.
+// Not safe for concurrent use; the TCP relay serializes access under
+// its parent-writer mutex.
 type Machine struct {
 	merge bool
-	th    float64                // largest broadcast threshold seen
-	sat   map[int]bool           // saturated levels seen
+	plane core.ControlPlane      // fold of the broadcasts seen
 	top   *sample.TopK[struct{}] // keys forwarded upstream (merge mode)
 
 	forwarded int64
@@ -64,7 +61,7 @@ type Machine struct {
 // enables the top-s union merge (see the package comment for when that
 // is sound).
 func NewMachine(s int, merge bool) *Machine {
-	m := &Machine{merge: merge, sat: make(map[int]bool)}
+	m := &Machine{merge: merge}
 	if merge {
 		m.top = sample.NewTopK[struct{}](s)
 	}
@@ -76,7 +73,7 @@ func NewMachine(s int, merge bool) *Machine {
 // forward unchanged.
 func (m *Machine) Up(msg core.Message, forward func(core.Message)) {
 	if msg.Kind == core.MsgRegular {
-		if m.th > 0 && msg.Key <= m.th {
+		if th := m.plane.Threshold(); th > 0 && msg.Key <= th {
 			m.filtered++
 			return
 		}
@@ -92,45 +89,21 @@ func (m *Machine) Up(msg core.Message, forward func(core.Message)) {
 	forward(msg)
 }
 
-// Down observes one coordinator broadcast on its way down: the relay
-// records the monotone control plane (thresholds only rise, saturation
-// flags only set) so it can pre-filter and synthesize join snapshots.
-func (m *Machine) Down(msg core.Message) {
-	switch msg.Kind {
-	case core.MsgEpochUpdate:
-		if msg.Threshold > m.th {
-			m.th = msg.Threshold
-		}
-	case core.MsgLevelSaturated:
-		m.sat[msg.Level] = true
-	default:
-		// MsgEarly/MsgRegular/MsgWindow/MsgClock carry no downstream
-		// control state; they pass through to the children unrecorded.
-	}
-}
+// Down observes one coordinator broadcast on its way down, folding it
+// into the relay's control plane so it can pre-filter and give joining
+// children a snapshot.
+func (m *Machine) Down(msg core.Message) { m.plane.Apply(msg) }
 
-// Snapshot emits the control-plane state as broadcast messages — the
-// same shape as the coordinator server's join snapshot, one hop down.
-// A child that attaches mid-stream replays these; because broadcasts
-// are monotone, replaying state the child will also receive live (or
-// already has) can never move its view backwards.
-func (m *Machine) Snapshot(emit func(core.Message)) {
-	levels := make([]int, 0, len(m.sat))
-	//wrslint:allow detrand order-insensitive traversal: the set holds no order and levels is sorted below
-	for j := range m.sat {
-		levels = append(levels, j)
-	}
-	sort.Ints(levels)
-	for _, j := range levels {
-		emit(core.Message{Kind: core.MsgLevelSaturated, Level: j})
-	}
-	if m.th > 0 {
-		emit(core.Message{Kind: core.MsgEpochUpdate, Threshold: m.th})
-	}
-}
+// ControlPlane returns the fold of the broadcasts seen: the view a child
+// that attaches mid-stream replays. Broadcasts are monotone, so
+// replaying state the child also receives live never moves it backwards.
+func (m *Machine) ControlPlane() core.ControlPlane { return m.plane }
+
+// Snapshot emits the control plane as broadcasts (ControlPlane.Snapshot).
+func (m *Machine) Snapshot(emit func(core.Message)) { m.plane.Snapshot(emit) }
 
 // Threshold returns the largest broadcast threshold seen (diagnostics).
-func (m *Machine) Threshold() float64 { return m.th }
+func (m *Machine) Threshold() float64 { return m.plane.Threshold() }
 
 // Forwarded returns how many upstream messages passed the filters.
 func (m *Machine) Forwarded() int64 { return m.forwarded }

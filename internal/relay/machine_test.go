@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"math"
 	"testing"
 
 	"wrs/internal/core"
@@ -82,18 +83,74 @@ func TestMachineSnapshot(t *testing.T) {
 		t.Fatalf("fresh machine snapshot emitted %v", empty)
 	}
 	m.Down(core.Message{Kind: core.MsgLevelSaturated, Level: 3})
-	m.Down(core.Message{Kind: core.MsgLevelSaturated, Level: -1})
+	m.Down(core.Message{Kind: core.MsgLevelSaturated, Level: -1}) // no coordinator sends it: ignored
+	m.Down(core.Message{Kind: core.MsgLevelSaturated, Level: 1})
 	m.Down(core.Message{Kind: core.MsgEpochUpdate, Threshold: 2.5})
 	var got []core.Message
 	m.Snapshot(func(msg core.Message) { got = append(got, msg) })
 	if len(got) != 3 {
 		t.Fatalf("snapshot emitted %d messages, want 3", len(got))
 	}
-	if got[0].Level != -1 || got[1].Level != 3 {
+	if got[0].Level != 1 || got[1].Level != 3 {
 		t.Errorf("levels not ascending: %v", got)
 	}
 	if got[2].Kind != core.MsgEpochUpdate || got[2].Threshold != 2.5 {
 		t.Errorf("threshold message %v", got[2])
+	}
+}
+
+// A forged broadcast frame on a relay's parent link must neither
+// silence its threshold filter nor grow the state it replays to every
+// child that joins.
+func TestMachineIgnoresForgedBroadcasts(t *testing.T) {
+	m := NewMachine(4, false)
+	honest := []core.Message{
+		{Kind: core.MsgLevelSaturated, Level: 2},
+		{Kind: core.MsgEpochUpdate, Threshold: 5},
+	}
+	forged := []core.Message{
+		{Kind: core.MsgLevelSaturated, Level: -1},
+		{Kind: core.MsgLevelSaturated, Level: core.MaxLevel + 1},
+		{Kind: core.MsgLevelSaturated, Level: math.MaxInt32},
+		{Kind: core.MsgEpochUpdate, Threshold: math.Inf(1)},
+		{Kind: core.MsgEpochUpdate, Threshold: math.NaN()},
+		{Kind: core.MsgEpochUpdate, Threshold: -5},
+	}
+	for _, msg := range honest {
+		m.Down(msg)
+	}
+	want := m.ControlPlane()
+	for _, msg := range forged {
+		m.Down(msg)
+	}
+	if m.ControlPlane() != want {
+		t.Fatal("forged broadcasts changed the relay's control plane")
+	}
+	if th := m.Threshold(); th != 5 {
+		t.Errorf("threshold %v after forged broadcasts, want 5", th)
+	}
+	if got := upAll(m, regular(6), regular(1e300)); len(got) != 2 {
+		t.Errorf("keys above the real threshold: forwarded %d of 2", len(got))
+	}
+	var snap []core.Message
+	m.Snapshot(func(msg core.Message) { snap = append(snap, msg) })
+	if len(snap) != 2 || snap[0] != honest[0] || snap[1] != honest[1] {
+		t.Errorf("snapshot %v, want exactly %v", snap, honest)
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		n++
+		m.Down(core.Message{Kind: core.MsgLevelSaturated, Level: core.MaxLevel + n})
+		m.Down(core.Message{Kind: core.MsgLevelSaturated, Level: -n})
+		for _, msg := range forged {
+			m.Down(msg)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("forged Down calls allocate %v times per run, want 0", allocs)
+	}
+	if m.ControlPlane() != want {
+		t.Error("a stream of forged levels changed the relay's control plane")
 	}
 }
 

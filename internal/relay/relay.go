@@ -102,7 +102,7 @@ func New(cfg core.Config, shards int, parentAddr, listenAddr string, opts Option
 	for p := range r.machines {
 		r.machines[p] = NewMachine(cfg.S, opts.Merge)
 	}
-	r.down = transport.NewDownlink(shards, r.joinSnapshot, r.child)
+	r.down = transport.NewDownlink(shards, r.controlPlane, r.child)
 	go r.down.Serve(ln)
 	go r.parentLoop()
 	return r, nil
@@ -111,16 +111,16 @@ func New(cfg core.Config, shards int, parentAddr, listenAddr string, opts Option
 // Addr returns the relay's downstream listen address.
 func (r *Relay) Addr() string { return r.ln.Addr().String() }
 
-// joinSnapshot replays shard p's monotone control-plane view to a child
-// that attaches mid-stream, so it does not filter at threshold 0
+// controlPlane returns shard p's monotone control-plane view for a
+// child that attaches mid-stream, so it does not filter at threshold 0
 // forever (the O(n) regression the server's snapshot exists to prevent
 // — re-proven one hop down, because a relay's view is a prefix of the
 // coordinator's broadcast sequence and replay/reorder/duplication of
 // monotone state is harmless).
-func (r *Relay) joinSnapshot(p int, emit func(core.Message)) {
+func (r *Relay) controlPlane(p int) core.ControlPlane {
 	r.upMu.Lock()
 	defer r.upMu.Unlock()
-	r.machines[p].Snapshot(emit)
+	return r.machines[p].ControlPlane()
 }
 
 // child returns the per-frame handler for one downstream connection:

@@ -147,7 +147,7 @@ var (
 	goroutines = inProcess(func(inst Instance) (Runtime, error) {
 		cc := netsim.NewConcurrentCluster[core.Message](inst.Coord, inst.Sites)
 		cc.Start()
-		return &goRuntime{cc: cc}, nil
+		return goRuntime{cc}, nil
 	})
 )
 
@@ -234,31 +234,14 @@ func (r *seqRuntime) Close() error        { r.closed = true; return nil }
 
 var errClosed = errors.New("runtime: feed on closed runtime")
 
-// goRuntime adapts netsim.ConcurrentCluster; Close drains it.
+// goRuntime adapts netsim.ConcurrentCluster; Close drains it. Drain is
+// idempotent and the cluster's counters stop once its goroutines are
+// joined, so Stats after Close reads the final traffic.
 type goRuntime struct {
-	cc *netsim.ConcurrentCluster[core.Message]
-
-	closed     bool
-	finalStats netsim.Stats
-	closeErr   error
+	*netsim.ConcurrentCluster[core.Message]
 }
 
-func (r *goRuntime) Feed(site int, it stream.Item) error { return r.cc.Feed(site, it) }
-func (r *goRuntime) FeedBatch(site int, items []stream.Item) error {
-	return r.cc.FeedBatch(site, items)
-}
-func (r *goRuntime) Flush() error { return r.cc.Flush() }
-func (r *goRuntime) Stats() netsim.Stats {
-	if r.closed {
-		return r.finalStats
-	}
-	return r.cc.Stats()
-}
-func (r *goRuntime) Do(fn func()) { r.cc.Do(fn) }
-func (r *goRuntime) Close() error {
-	if !r.closed {
-		r.finalStats, r.closeErr = r.cc.Drain()
-		r.closed = true
-	}
-	return r.closeErr
+func (r goRuntime) Close() error {
+	_, err := r.Drain()
+	return err
 }

@@ -45,9 +45,9 @@ func (p *Peer) Send(payload []byte) bool { return p.outbox.TryPut(payload) }
 // writer goroutine per connection, broadcast fan-out, and teardown. A
 // role supplies two callbacks (NewDownlink) and nothing else.
 type Downlink struct {
-	shards   int
-	snapshot func(shard int, emit func(core.Message))
-	handler  func(*Peer) func(payload []byte) error
+	shards  int
+	plane   func(shard int) core.ControlPlane
+	handler func(*Peer) func(payload []byte) error
 
 	// peersMu guards peers, ln and the closed handshake. No role
 	// callback runs under it, so it is never held while taking a shard
@@ -65,18 +65,17 @@ type Downlink struct {
 // NewDownlink builds the parent end of links carrying `shards` protocol
 // shards (frames are shard-tagged when shards > 1).
 //
-// snapshot emits shard p's monotone control-plane state — saturated
-// levels, then the epoch threshold — for a newly registered peer; it
-// takes whatever lock guards that state. handler is called once per
-// accepted peer and returns the peer's per-frame handler, which runs on
-// the peer's reader goroutine in arrival order; an error drops the
-// peer.
-func NewDownlink(shards int, snapshot func(shard int, emit func(core.Message)), handler func(*Peer) func(payload []byte) error) *Downlink {
+// plane returns shard p's monotone control plane for a newly
+// registered peer; it takes whatever lock guards that state. handler is
+// called once per accepted peer and returns the peer's per-frame
+// handler, which runs on the peer's reader goroutine in arrival order;
+// an error drops the peer.
+func NewDownlink(shards int, plane func(shard int) core.ControlPlane, handler func(*Peer) func(payload []byte) error) *Downlink {
 	return &Downlink{
-		shards:   shards,
-		snapshot: snapshot,
-		handler:  handler,
-		peers:    make(map[net.Conn]*Peer),
+		shards:  shards,
+		plane:   plane,
+		handler: handler,
+		peers:   make(map[net.Conn]*Peer),
 	}
 }
 
@@ -144,9 +143,10 @@ func (d *Downlink) run(conn net.Conn) {
 	d.drop(pr, writerDone)
 }
 
-// join queues the peer's join snapshot, one frame per shard with any
-// state. A child starts sending as soon as its TCP handshake completes,
-// which can be long before this registration; every broadcast issued in
+// join queues the peer's join snapshot: per shard with any state, one
+// frame replaying its control plane (core.ControlPlane.Snapshot). A
+// child starts sending as soon as its TCP handshake completes, which
+// can be long before this registration; every broadcast issued in
 // between would otherwise be lost to it forever (broadcasts are not
 // replayed), leaving it filtering with threshold 0 and unsaturated
 // levels for the whole run: the O(n) regression. The snapshot is taken
@@ -159,7 +159,8 @@ func (d *Downlink) join(pr *Peer) {
 	for p := 0; p < d.shards; p++ {
 		var snap []byte
 		var msgs, words int64
-		d.snapshot(p, func(m core.Message) {
+		plane := d.plane(p)
+		plane.Snapshot(func(m core.Message) {
 			snap = appendFramed(snap, d.shards, p, m)
 			msgs++
 			words += int64(m.Words())

@@ -77,7 +77,8 @@ type shardState struct {
 // shards. It is the downlink role of the link layer (Downlink): the
 // connection plumbing is shared with relay.Relay, and the server adds
 // only its per-frame handler (pre-filter, then the shard mutex) and its
-// per-shard join snapshot (saturated levels and epoch threshold).
+// per-shard control plane for join snapshots (saturated levels and
+// epoch threshold).
 //
 // Ingest path: connection handlers decode incoming frames and
 // pre-filter below-threshold MsgRegular messages *outside* the shard
@@ -125,7 +126,7 @@ func NewShardedCoordinatorServer(cfg core.Config, protos []Coordinator) (*Coordi
 		return nil, err
 	}
 	s := &CoordinatorServer{cfg: cfg, shards: make([]*shardState, len(protos))}
-	s.down = NewDownlink(len(protos), s.joinSnapshot, s.handler)
+	s.down = NewDownlink(len(protos), s.controlPlane, s.handler)
 	for p, proto := range protos {
 		sh := &shardState{proto: proto, coord: proto.Core(), bcast: s.broadcaster(p)}
 		sh.dropper, _ = proto.(prefilterable)
@@ -213,19 +214,14 @@ func (s *CoordinatorServer) publishDropBound(sh *shardState) {
 	sh.dropBits.Store(math.Float64bits(sh.dropper.DropBelow()))
 }
 
-// joinSnapshot emits shard p's current control-plane state — saturated
-// levels and the epoch threshold — under that shard's ingest mutex, for
-// a newly registered connection (Downlink.join).
-func (s *CoordinatorServer) joinSnapshot(p int, emit func(core.Message)) {
+// controlPlane returns shard p's current control plane — saturated
+// levels and the epoch threshold — read under that shard's ingest
+// mutex, for a newly registered connection (Downlink.join).
+func (s *CoordinatorServer) controlPlane(p int) core.ControlPlane {
 	sh := s.shards[p]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, j := range sh.coord.SaturatedLevels() {
-		emit(core.Message{Kind: core.MsgLevelSaturated, Level: j})
-	}
-	if th := sh.coord.CurrentThreshold(); th > 0 {
-		emit(core.Message{Kind: core.MsgEpochUpdate, Threshold: th})
-	}
+	return sh.coord.ControlPlane()
 }
 
 // broadcaster returns the bcast callback for shard p: it fans a

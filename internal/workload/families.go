@@ -40,9 +40,6 @@ type family interface {
 	// the machine being replaced (the windowed family reads its
 	// sequence position); control-plane replay is the engine's job.
 	newSite(p, site int, old netsim.Site[core.Message], rng *xrand.RNG) (netsim.Site[core.Message], error)
-	// controlSnapshot emits shard p's coordinator-side control-plane
-	// snapshot (the late-joiner replay; empty for push-only protocols).
-	controlSnapshot(p int, emit func(core.Message))
 	// snapshot checkpoints every shard together with its oracle state.
 	snapshot()
 	// restore restores the latest checkpoint in place and returns how
@@ -132,15 +129,6 @@ func (l *ackLog) ack(p int, m core.Message) {
 	}
 }
 
-func (l *ackLog) controlSnapshot(p int, emit func(core.Message)) {
-	for _, j := range l.coords[p].SaturatedLevels() {
-		emit(core.Message{Kind: core.MsgLevelSaturated, Level: j})
-	}
-	if th := l.coords[p].CurrentThreshold(); th > 0 {
-		emit(core.Message{Kind: core.MsgEpochUpdate, Threshold: th})
-	}
-}
-
 func (l *ackLog) snapshot() {
 	if l.snaps == nil {
 		l.snaps = make([]*core.CoordinatorState, len(l.coords))
@@ -191,10 +179,6 @@ func (f *samplerFamily) handle(p int, m core.Message, bcast func(core.Message)) 
 
 func (f *samplerFamily) newSite(p, site int, _ netsim.Site[core.Message], rng *xrand.RNG) (netsim.Site[core.Message], error) {
 	return core.NewSite(site, f.log.cfgs[p], rng), nil
-}
-
-func (f *samplerFamily) controlSnapshot(p int, emit func(core.Message)) {
-	f.log.controlSnapshot(p, emit)
 }
 
 func (f *samplerFamily) snapshot()             { f.log.snapshot() }
@@ -271,10 +255,6 @@ func (f *l1Family) handle(p int, m core.Message, bcast func(core.Message)) {
 
 func (f *l1Family) newSite(p, site int, _ netsim.Site[core.Message], rng *xrand.RNG) (netsim.Site[core.Message], error) {
 	return f.coords[p].NewSite(site, rng), nil
-}
-
-func (f *l1Family) controlSnapshot(p int, emit func(core.Message)) {
-	f.log.controlSnapshot(p, emit)
 }
 
 func (f *l1Family) snapshot() {
@@ -438,10 +418,6 @@ func (f *windowFamily) newSite(p, site int, old netsim.Site[core.Message], rng *
 	}
 	return ns, nil
 }
-
-// controlSnapshot is empty: the windowed protocol has no broadcasts,
-// hence no control plane for a joiner to replay.
-func (f *windowFamily) controlSnapshot(int, func(core.Message)) {}
 
 func (f *windowFamily) snapshot() {
 	if f.snaps == nil {

@@ -245,6 +245,7 @@ func RunApp[Q any](sc Scenario, app wrs.App[Q]) (*Result, Q, error) {
 		}
 		cl.Link = eng.link(p)
 		eng.clusters = append(eng.clusters, cl)
+		eng.cores = append(eng.cores, inst.Coord.Core())
 	}
 	for _, f := range sc.Faults {
 		eng.push(&event{at: f.At, kind: evFault, fault: f})
@@ -270,6 +271,7 @@ func RunApp[Q any](sc Scenario, app wrs.App[Q]) (*Result, Q, error) {
 type engine struct {
 	fam      family
 	clusters []*netsim.Cluster[core.Message] // one per shard
+	cores    []*core.Coordinator             // each shard's Core() coordinator
 	alive    []bool
 	up       netsim.LinkModel // site edges
 	down     netsim.LinkModel
@@ -414,8 +416,8 @@ func (e *engine) applyFault(f Fault) error {
 		e.alive[f.Site] = false
 		e.stats.Crashes++
 	case SiteJoin:
-		// A fresh replacement instance per shard. Its control-plane
-		// snapshot replays from what it would attach to in the real
+		// A fresh replacement instance per shard. It replays the
+		// control plane of what it would attach to in the real
 		// deployment: its leaf relay's monotone view on a tree, the
 		// coordinator's on a flat topology — both safe (the relay's
 		// view is a subset of the coordinator's, and replaying less
@@ -425,12 +427,8 @@ func (e *engine) applyFault(f Fault) error {
 			if err != nil {
 				return err
 			}
-			replay := func(m core.Message) { ns.HandleBroadcast(m) }
-			if depth := len(e.sizes); depth > 0 {
-				e.relayAt(p, depth-1, netsim.TreeParent(e.sizes, depth, f.Site)).Snapshot(replay)
-			} else {
-				e.fam.controlSnapshot(p, replay)
-			}
+			plane := e.parentPlane(p, len(e.sizes), f.Site)
+			plane.Snapshot(ns.HandleBroadcast)
 			cl.Sites[f.Site] = ns
 		}
 		e.alive[f.Site] = true
@@ -479,11 +477,18 @@ func (e *engine) reattach(t, node int) {
 	e.replaying = true
 	defer func() { e.replaying = false }()
 	for p, cl := range e.clusters {
-		replay := func(m core.Message) { cl.Arrive(netsim.Hop{Tier: t, Node: node}, m) }
-		if t == 0 {
-			e.fam.controlSnapshot(p, replay)
-		} else {
-			e.relayAt(p, t-1, netsim.TreeParent(e.sizes, t, node)).Snapshot(replay)
-		}
+		plane := e.parentPlane(p, t, node)
+		plane.Snapshot(func(m core.Message) { cl.Arrive(netsim.Hop{Tier: t, Node: node}, m) })
 	}
+}
+
+// parentPlane returns the control plane that node `node` of tier t
+// (sites are tier len(e.sizes)) replays on shard p when it attaches:
+// its parent relay's, or the coordinator's for tier 0. A push-only
+// protocol's coordinator broadcasts nothing, so its plane is empty.
+func (e *engine) parentPlane(p, t, node int) core.ControlPlane {
+	if t == 0 {
+		return e.cores[p].ControlPlane()
+	}
+	return e.relayAt(p, t-1, netsim.TreeParent(e.sizes, t, node)).ControlPlane()
 }

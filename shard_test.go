@@ -308,10 +308,10 @@ func TestOpenAllocs(t *testing.T) {
 	}{
 		{"Open(Sampler(64, 64))", func() (interface{ Close() error }, error) {
 			return Open(Sampler(64, 64))
-		}, 210},
+		}, 145},
 		{"Open(Windowed(2, 64, 65536), WithRuntime(Goroutines()), WithShards(2))", func() (interface{ Close() error }, error) {
 			return Open(Windowed(2, 64, 65536), WithRuntime(Goroutines()), WithShards(2))
-		}, 91},
+		}, 87},
 	}
 	for _, c := range cases {
 		got := testing.AllocsPerRun(20, func() {
