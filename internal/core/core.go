@@ -183,20 +183,22 @@ func (c Config) LevelCap() int {
 // asynchronous transports: after every W upstream messages a site must
 // synchronize (round-trip) with the coordinator before sending more,
 // so it can never run further than W messages ahead of the control
-// plane. W = 4*LevelCap() keeps the round-trip overhead at 2 messages
-// per W sent while bounding how long a site can filter with a stale
-// threshold, preserving the message bound of Theorem 3 on any
-// scheduler or network. See DESIGN.md.
+// plane. W = max(64, 4·⌈s/k⌉) bounds what one broadcast that every
+// site sees late can cost, k·W ≤ max(64k, 4(s+k−1)) extra messages, by
+// a constant times Theorem 3's per-epoch budget (about
+// k·ln r/ln(1+k/s), which is Θ(max(s, k))), and its floor keeps the
+// round-trip overhead at one per 64 messages sent at most. See
+// DESIGN.md §5.
 func (c Config) StalenessWindow() int {
-	return 4 * c.LevelCap()
+	return max(64, 4*((c.S+c.K-1)/c.K))
 }
 
 // levelOf returns the level j >= 0 with w in [r^j, r^(j+1)) per
-// Definition 4 (weights below r, including (0,1), map to level 0). The
-// post-correction loops guard against floating-point boundary rounding.
-// It is total: NaN maps to level 0 and +Inf to the level of
-// math.MaxFloat64, so it stays monotone and the loops end on any input a
-// forged message can carry.
+// Definition 4 (weights below r, including (0,1), map to level 0). At
+// r = 2 the level is the float exponent of w; any other r searches the
+// math.Pow boundaries (levelByPow). It is total: NaN maps to level 0 and
+// +Inf to the level of math.MaxFloat64, so it stays monotone and ends on
+// any input a forged message can carry.
 func levelOf(w, r float64) int {
 	if !(w >= r) {
 		return 0
@@ -204,6 +206,18 @@ func levelOf(w, r float64) int {
 	if w > math.MaxFloat64 {
 		w = math.MaxFloat64
 	}
+	if r == 2 {
+		_, e := math.Frexp(w) // w in [2^(e-1), 2^e)
+		return e - 1
+	}
+	return levelByPow(w, r)
+}
+
+// levelByPow is levelOf for finite w >= r: a logarithm estimate, then
+// post-correction loops against math.Pow that guard against
+// floating-point boundary rounding. At r = 2 it is the reference the
+// exponent form is tested against.
+func levelByPow(w, r float64) int {
 	j := int(math.Floor(math.Log(w) / math.Log(r)))
 	for j > 0 && math.Pow(r, float64(j)) > w {
 		j--

@@ -42,6 +42,24 @@ func TestConfigLevelCap(t *testing.T) {
 	}
 }
 
+// TestConfigStalenessWindow pins W = max(64, 4·⌈s/k⌉) on the perf
+// workloads' shapes (tcp-decay k = 2, s = 512; paced-quantiles s = 8478)
+// and at the floor, and the budget W is sized to: one broadcast that
+// every site sees late costs k·W ≤ max(64k, 4(s+k−1)) extra messages.
+func TestConfigStalenessWindow(t *testing.T) {
+	for _, c := range []struct{ k, s, want int }{
+		{2, 512, 1024}, {2, 8478, 16956}, {4, 8, 64}, {8, 8, 64}, {1000, 8, 64},
+	} {
+		w := Config{K: c.k, S: c.s}.StalenessWindow()
+		if w != c.want {
+			t.Errorf("k=%d s=%d: StalenessWindow = %d, want %d", c.k, c.s, w, c.want)
+		}
+		if budget := max(64*c.k, 4*(c.s+c.k-1)); c.k*w > budget {
+			t.Errorf("k=%d s=%d: k·W = %d exceeds max(64k, 4(s+k-1)) = %d", c.k, c.s, c.k*w, budget)
+		}
+	}
+}
+
 func TestLevelOfDefinition(t *testing.T) {
 	// Definition 4: level j satisfies w in [r^j, r^(j+1)); w < r -> 0.
 	f := func(wRaw, rRaw float64) bool {
@@ -96,6 +114,75 @@ func TestLevelOfBoundaries(t *testing.T) {
 			t.Errorf("levelOf(%v, %v) = %d, above MaxLevel %d", c.w, c.r, got, MaxLevel)
 		}
 	}
+}
+
+// levelOfByPow is levelOf without the exponent form: the loop every
+// base other than 2 takes, and the reference the r = 2 form must match.
+func levelOfByPow(w, r float64) int {
+	if !(w >= r) {
+		return 0
+	}
+	return levelByPow(min(w, math.MaxFloat64), r)
+}
+
+// TestLevelOfExponentMatchesLoop pins levelOf at r = 2, which reads the
+// float exponent, to the Pow loop: on every power of two and its
+// neighbours, on subnormals and non-finite values, and on a million
+// weights of each perf workload's shape — Pareto(1.2) (seq-pareto) and
+// Pareto(1.5)·e^(50·i/n) (tcp-decay).
+func TestLevelOfExponentMatchesLoop(t *testing.T) {
+	check := func(w float64) {
+		if got, want := levelOf(w, 2), levelOfByPow(w, 2); got != want {
+			t.Fatalf("levelOf(%v, 2) = %d, loop reference %d", w, got, want)
+		}
+	}
+	for j := 1; j <= 1023; j++ {
+		w := math.Ldexp(1, j)
+		check(w)
+		check(math.Nextafter(w, 0))
+		check(math.Nextafter(w, math.Inf(1)))
+	}
+	for _, w := range []float64{5e-324, 1e-310, 0x1p-1022 - 5e-324, 0x1p-1022, 1, 2,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		check(w)
+	}
+	const n = 1_000_000
+	rng := xrand.New(14)
+	for i := 0; i < n; i++ {
+		check(rng.Pareto(1.2))
+		check(rng.Pareto(1.5) * math.Exp(50*float64(i)/n))
+	}
+}
+
+// FuzzLevelOf drives levelOf with arbitrary float64 bit patterns. At
+// r = 2 the exponent form must equal the Pow loop; at other bases the
+// level must be returned, lie in [0, MaxLevel] and be monotone in w.
+func FuzzLevelOf(f *testing.F) {
+	f.Add(uint64(0x4000000000000000), uint64(0x4010000000000000)) // 2, 4
+	f.Add(uint64(0x7fefffffffffffff), uint64(0x7ff0000000000000)) // MaxFloat64, +Inf
+	f.Add(uint64(1), uint64(0x7ff8000000000001))                  // 5e-324, NaN
+	f.Fuzz(func(t *testing.T, a, b uint64) {
+		w1, w2 := math.Float64frombits(a), math.Float64frombits(b)
+		for _, w := range []float64{w1, w2} {
+			if got, want := levelOf(w, 2), levelOfByPow(w, 2); got != want {
+				t.Fatalf("levelOf(%v, 2) = %d, loop reference %d", w, got, want)
+			}
+		}
+		if w1 > w2 {
+			w1, w2 = w2, w1
+		}
+		for _, r := range []float64{2, 2.5, 4.5, 64} {
+			j1, j2 := levelOf(w1, r), levelOf(w2, r)
+			for _, j := range []int{j1, j2} {
+				if j < 0 || j > MaxLevel {
+					t.Fatalf("levelOf(%v or %v, %v) = %d, outside [0, %d]", w1, w2, r, j, MaxLevel)
+				}
+			}
+			if w1 <= w2 && j1 > j2 {
+				t.Fatalf("levelOf(%v, %v) = %d > levelOf(%v, %v) = %d", w1, r, j1, w2, r, j2)
+			}
+		}
+	})
 }
 
 func TestEpochThresholdBoundaries(t *testing.T) {

@@ -73,7 +73,9 @@ type Runtime interface {
 	// Feed delivers one arrival to a site.
 	Feed(site int, it stream.Item) error
 	// FeedBatch delivers a slice of arrivals to a site in order, using
-	// the runtime's batched path.
+	// the runtime's batched path. A runtime neither keeps nor writes
+	// the batch after FeedBatch returns: the caller may overwrite it
+	// then, and the public ObserveBatch passes the caller's own slice.
 	FeedBatch(site int, items []stream.Item) error
 	// Flush is a barrier: when it returns, everything fed before the
 	// call has reached the coordinator and the resulting broadcasts

@@ -12,10 +12,12 @@
 // is starve the control plane indefinitely — a site that keeps sending
 // while broadcasts lag the whole feed degenerates to the naive O(n)
 // protocol. SiteClient therefore enforces a bounded-staleness window W
-// (core.Config.StalenessWindow): after every W upstream messages it
-// round-trips a ping before sending more, which fully synchronizes its
-// view of the control plane. The round-trip costs 2 messages per W
-// sent, so the Theorem 3 message bound survives any scheduler or
+// (core.Config.StalenessWindow, max(64, 4·⌈s/k⌉)): after every W
+// upstream messages it round-trips a ping before sending more, which
+// fully synchronizes its view of the control plane. The round-trip
+// costs 2 messages per W sent, and a broadcast that all k sites see
+// late costs at most k·W extra messages, a constant times Theorem 3's
+// per-epoch budget, so the message bound survives any scheduler or
 // network timing.
 //
 // Sharding: a server can host P independent protocol shards (see

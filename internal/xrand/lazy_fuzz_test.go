@@ -32,15 +32,26 @@ func FuzzLazyUniformConsistency(f *testing.F) {
 	})
 }
 
-// FuzzThresholdExp checks the site-filter primitive never panics and
-// produces keys consistent with its decisions for arbitrary weights and
-// thresholds.
+// FuzzThresholdExp checks the site-filter primitive against its
+// LazyUniform reference (matchLazy: same decision, bits, key and RNG
+// position) for arbitrary weights and thresholds, NaN and ±Inf
+// included, and that for a valid weight it never panics and produces a
+// key consistent with its decision.
 func FuzzThresholdExp(f *testing.F) {
 	f.Add(uint64(1), 1.0, 2.0)
 	f.Add(uint64(2), 1e-9, 1e12)
 	f.Add(uint64(3), 1e12, 1e-9)
+	f.Add(uint64(4), 1.0, math.NaN())
+	f.Add(uint64(5), 1.0, math.Inf(1))
+	f.Add(uint64(6), 1.0, math.Inf(-1))
+	f.Add(uint64(7), 1.0, 5e-324)
 	f.Fuzz(func(t *testing.T, seed uint64, w, u float64) {
-		if !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w) || math.IsNaN(u) || math.IsInf(u, 0) {
+		for _, key := range []bool{false, true} {
+			if err := matchLazy(seed, w, key, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !(w > 0) || math.IsInf(w, 0) {
 			return
 		}
 		te := NewThresholdExp(New(seed), w)

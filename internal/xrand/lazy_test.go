@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -247,4 +248,150 @@ func ksAgainstUniform(xs []float64) (dStat, p float64) {
 		p = 1
 	}
 	return dStat, p
+}
+
+// lazyThresholdExp is ThresholdExp run on the bit-serial LazyUniform:
+// the reference the closed form must reproduce bit for bit.
+type lazyThresholdExp struct {
+	lu LazyUniform
+	w  float64
+}
+
+func (t *lazyThresholdExp) Above(u float64) bool {
+	if u <= 0 {
+		return true
+	}
+	return t.lu.Above(math.Exp(-t.w / u))
+}
+
+func (t *lazyThresholdExp) Key() float64 { return t.w / -math.Log(t.lu.Value()) }
+
+// matchLazy runs ThresholdExp and its LazyUniform reference on twin RNGs
+// seeded with seed: Above for each u in turn, then Key when key is set.
+// After every step both must agree on the decision, DecisionBits,
+// TotalBits, the key's bits and the RNG position; the first
+// disagreement is returned.
+func matchLazy(seed uint64, w float64, key bool, us ...float64) error {
+	rc, rl := New(seed), New(seed)
+	ct, lt := NewThresholdExp(rc, w), lazyThresholdExp{lu: NewLazyUniform(rl), w: w}
+	agree := func(step string) error {
+		if ct.DecisionBits() != lt.lu.DecisionBits || ct.TotalBits() != lt.lu.Bits || rc.State() != rl.State() {
+			return fmt.Errorf("seed %d, w %v, u %v, after %s: closed form has %d decision bits, %d total, RNG %x; lazy %d, %d, %x",
+				seed, w, us, step, ct.DecisionBits(), ct.TotalBits(), rc.State(), lt.lu.DecisionBits, lt.lu.Bits, rl.State())
+		}
+		return nil
+	}
+	for _, u := range us {
+		if c, l := ct.Above(u), lt.Above(u); c != l {
+			return fmt.Errorf("seed %d, w %v: Above(%v) = %v, lazy reference %v", seed, w, u, c, l)
+		}
+		if err := agree("Above"); err != nil {
+			return err
+		}
+	}
+	if key {
+		if c, l := ct.Key(), lt.Key(); math.Float64bits(c) != math.Float64bits(l) {
+			return fmt.Errorf("seed %d, w %v, u %v: Key() = %v, lazy reference %v", seed, w, us, c, l)
+		}
+		if err := agree("Key"); err != nil {
+			return err
+		}
+	}
+	if c, l := rc.Uint64(), rl.Uint64(); c != l {
+		return fmt.Errorf("seed %d, w %v, u %v: next Uint64 %x, lazy reference %x", seed, w, us, c, l)
+	}
+	return nil
+}
+
+// TestThresholdExpMatchesLazy pins the closed-form decision to the
+// bit-serial process on random (w, u) pairs whose e^(-w/u) spans (0, 1),
+// some compared twice and some materialized.
+func TestThresholdExpMatchesLazy(t *testing.T) {
+	r := New(12)
+	for i := 0; i < 1_000_000; i++ {
+		w := math.Ldexp(1+r.Float64(), r.Intn(120)-60)
+		u := w * math.Ldexp(1+r.Float64(), r.Intn(24)-12)
+		var err error
+		switch i % 4 {
+		case 0:
+			err = matchLazy(uint64(i), w, false, u)
+		case 1:
+			err = matchLazy(uint64(i), w, true, u)
+		case 2:
+			err = matchLazy(uint64(i), w, true, u, u*math.Ldexp(1+r.Float64(), r.Intn(8)-4))
+		default:
+			err = matchLazy(uint64(i), w, true)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestThresholdExpMatchesLazyEdges covers the thresholds that take no
+// draw (u <= 0: always above; u = +Inf: p = 1, never above), subnormal
+// thresholds (p = 0) and NaN, on which the lazy loop spends all 53 bits
+// and answers false.
+func TestThresholdExpMatchesLazyEdges(t *testing.T) {
+	us := []float64{0, math.Copysign(0, -1), -1, math.Inf(-1), math.Inf(1),
+		5e-324, 1e-310, math.NaN(), math.MaxFloat64, 1}
+	for seed := uint64(0); seed < 200; seed++ {
+		for _, w := range []float64{5e-324, 1e-300, 0.5, 1, 3, 1e300, math.MaxFloat64} {
+			for _, u := range us {
+				for _, key := range []bool{false, true} {
+					if err := matchLazy(seed, w, key, u); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	for _, u := range []float64{0, -1, math.Inf(1)} {
+		te := NewThresholdExp(New(1), 1)
+		te.Above(u)
+		if te.TotalBits() != 0 {
+			t.Errorf("Above(%v) took %d bits, want no draw", u, te.TotalBits())
+		}
+	}
+	te := NewThresholdExp(New(1), 1)
+	if te.Above(math.NaN()) || te.DecisionBits() != 53 {
+		t.Errorf("Above(NaN) = true after %d decision bits, want false after 53", te.DecisionBits())
+	}
+}
+
+// TestDecideMatchesLazyOnTies forces X == P, where the closed form needs
+// the materialized value, and its neighbours, by loading the lazy
+// process's bit buffer with X directly.
+func TestDecideMatchesLazyOnTies(t *testing.T) {
+	r := New(13)
+	check := func(X uint64, p float64) {
+		lu := LazyUniform{buf: X << (64 - lazyMaxBits), bufn: 64}
+		want := lu.Above(p)
+		got, n := decide(X, p)
+		if got != want || n != lu.DecisionBits {
+			t.Fatalf("decide(%d, %v) = %v after %d bits, lazy %v after %d", X, p, got, n, want, lu.DecisionBits)
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		var p float64
+		switch i % 3 {
+		case 0:
+			p = r.Float64()
+		case 1:
+			p = math.Ldexp(r.Float64(), -r.Intn(60))
+		default:
+			p = (float64(r.Uint64()>>(64-lazyMaxBits)) + float64(r.Intn(4))/4) * 0x1p-53
+		}
+		P := uint64(p * 0x1p53)
+		check(P, p)
+		check(P+1, p)
+		if P > 0 {
+			check(P-1, p)
+		}
+	}
+	for _, p := range []float64{0, 5e-324, 0x1p-53, 0x1.8p-53, 0.5, 1 - 0x1p-53, math.NaN()} {
+		for _, X := range []uint64{0, 1, 2, 1 << 52, 1<<53 - 1} {
+			check(X, p)
+		}
+	}
 }

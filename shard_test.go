@@ -261,11 +261,11 @@ func TestConcurrentSamplerDrainStatsConsistent(t *testing.T) {
 }
 
 // TestObserveBatchAllocsGoroutinesSharded pins the batch path of the
-// goroutine runtime over two shards at one allocation per call: the
-// copy of the caller's Items into the internal item type. Splitting
-// the batch per shard reuses buffers, and in steady state nothing else
-// on the path, the site and coordinator goroutines included, allocates
-// per call (AllocsPerRun counts every goroutine's allocations).
+// goroutine runtime over two shards at zero allocations per call: the
+// caller's Items reach the runtime without a copy, splitting the batch
+// per shard reuses buffers, and in steady state nothing else on the
+// path, the site and coordinator goroutines included, allocates per
+// call (AllocsPerRun counts every goroutine's allocations).
 func TestObserveBatchAllocsGoroutinesSharded(t *testing.T) {
 	h, err := Open(Windowed(2, 64, 1024), WithRuntime(Goroutines()), WithShards(2))
 	if err != nil {
@@ -289,8 +289,58 @@ func TestObserveBatchAllocsGoroutinesSharded(t *testing.T) {
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(200, observe); got != 1 {
-		t.Errorf("ObserveBatch: %v allocations per call, want 1", got)
+	if got := testing.AllocsPerRun(200, observe); got != 0 {
+		t.Errorf("ObserveBatch: %v allocations per call, want 0", got)
+	}
+}
+
+// TestObserveBatchCallerReusesSlice refills one batch slice before
+// every ObserveBatch and overwrites it after the last. The runtime gets
+// the caller's slice itself, not a copy, so one that kept or wrote it
+// after FeedBatch returned would lose, repeat or alter items, and race
+// with the refill under -race. With s at least the stream length the
+// sample must hold every item exactly once, with its own weight.
+func TestObserveBatchCallerReusesSlice(t *testing.T) {
+	const k, rounds, size = 2, 200, 8
+	weight := func(id uint64) float64 { return 1 + float64(id%97) }
+	for _, spec := range shardMatrix() {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", spec.String(), shards), func(t *testing.T) {
+				h, err := Open(Sampler(k, rounds*size), WithSeed(5), WithRuntime(spec), WithShards(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer h.Close()
+				batch := make([]Item, size)
+				for r := 0; r < rounds; r++ {
+					for i := range batch {
+						id := uint64(r*size + i)
+						batch[i] = Item{ID: id, Weight: weight(id)}
+					}
+					if err := h.ObserveBatch(r%k, batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range batch {
+					batch[i] = Item{ID: math.MaxUint64, Weight: 1}
+				}
+				if err := h.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				smp := h.Query()
+				if len(smp) != rounds*size {
+					t.Fatalf("sample holds %d items, want all %d", len(smp), rounds*size)
+				}
+				seen := make([]bool, rounds*size)
+				for _, e := range smp {
+					id := e.Item.ID
+					if id >= uint64(len(seen)) || seen[id] || e.Item.Weight != weight(id) {
+						t.Fatalf("sampled item %+v: unknown, repeated or with a foreign weight", e.Item)
+					}
+					seen[id] = true
+				}
+			})
+		}
 	}
 }
 

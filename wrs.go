@@ -2,6 +2,7 @@ package wrs
 
 import (
 	"fmt"
+	"unsafe"
 
 	"wrs/internal/netsim"
 	rt "wrs/internal/runtime"
@@ -20,12 +21,16 @@ func (it Item) internal() stream.Item { return stream.Item{ID: it.ID, Weight: it
 
 func fromInternal(it stream.Item) Item { return Item{ID: it.ID, Weight: it.Weight} }
 
+// Item and stream.Item must keep the same fields: this conversion
+// compiles only while they do, and toInternal relies on it.
+var _ = stream.Item(Item{})
+
+// toInternal reinterprets a batch as the internal item type without
+// copying it. The two structs have one layout, and no runtime keeps or
+// writes a batch after its FeedBatch returns (runtime.Runtime), so the
+// caller may reuse the slice as soon as the call that passed it returns.
 func toInternal(items []Item) []stream.Item {
-	out := make([]stream.Item, len(items))
-	for i, it := range items {
-		out[i] = it.internal()
-	}
-	return out
+	return unsafe.Slice((*stream.Item)(unsafe.SliceData(items)), len(items))
 }
 
 // Sampled is a sampled item together with its precision-sampling key
