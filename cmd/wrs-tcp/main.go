@@ -211,17 +211,18 @@ func run[Q any](d demo, app wrs.App[Q], report func(answer Q, s int, totalW floa
 	}
 	elapsed := time.Since(start)
 
-	var pings int64
+	var pings, waits int64
 	var totalW float64
 	for i := 0; i < d.k; i++ {
 		pings += flat.Client(i).FlowPings()
+		waits += flat.Client(i).FlowWaits()
 		totalW += weights[i]
 	}
 	stats := cluster.Stats()
 	fmt.Printf("\nstreamed %d updates in %v (%.0f updates/sec)\n",
 		d.n, elapsed.Round(time.Millisecond), float64(d.n)/elapsed.Seconds())
-	fmt.Printf("traffic: %d upstream messages (%.4f/update), %d broadcast deliveries, %d flow pings\n",
-		stats.Upstream, float64(stats.Upstream)/float64(d.n), stats.Downstream, pings)
+	fmt.Printf("traffic: %d upstream messages (%.4f/update), %d broadcast deliveries, %d flow pings, %d flow waits\n",
+		stats.Upstream, float64(stats.Upstream)/float64(d.n), stats.Downstream, pings, waits)
 	if isTree {
 		fmt.Printf("tree: root edge %d messages (%.4f/update) over %d root conns\n",
 			tree.RootUpstream(), float64(tree.RootUpstream())/float64(d.n), tree.RootConns())

@@ -173,23 +173,13 @@ func (c *Coordinator) handleEarly(it stream.Item, bcast func(Message)) {
 // sample, the level is marked saturated, and the sites are notified.
 func (c *Coordinator) saturate(j int, bcast func(Message)) {
 	c.Stats.Saturations++
-	kept := c.pool.Items()
-	var released []sample.Entry[poolItem]
-	remaining := make([]sample.Entry[poolItem], 0, len(kept))
-	for _, e := range kept {
-		if e.Val.level == j {
-			released = append(released, e)
-		} else {
-			remaining = append(remaining, e)
-		}
-	}
-	c.pool.Reset()
-	for _, e := range remaining {
-		c.pool.Offer(e.Key, e.Val)
-	}
-	for _, e := range released {
-		c.addToSample(e.Key, e.Val.item)
-	}
+	// The pool and the sample are separate heaps, so releasing entries
+	// while the pool is rebuilt leaves both exactly as rebuilding first
+	// and releasing after.
+	c.pool.Retain(
+		func(e sample.Entry[poolItem]) bool { return e.Val.level != j },
+		func(e sample.Entry[poolItem]) { c.addToSample(e.Key, e.Val.item) },
+	)
 	c.announce(Message{Kind: MsgLevelSaturated, Level: j}, bcast)
 	c.maybeAdvanceEpoch(bcast)
 }

@@ -140,8 +140,8 @@ func (r *Relay) child(pr *transport.Peer) func([]byte) error {
 // relayUp runs one child data frame through the shard filters,
 // buffering survivors into the per-shard upstream frames. Frames ship
 // to the buffered parent writer when full; the OS-bound flush happens
-// on the next flow-control ping, which every site issues at least once
-// per staleness window and on every Flush.
+// on the next flow-control ping, which every site issues once per half
+// staleness window (⌈W/2⌉ messages) and on every Flush.
 func (r *Relay) relayUp(payload []byte) error {
 	r.upMu.Lock()
 	defer r.upMu.Unlock()
@@ -196,7 +196,9 @@ func (r *Relay) SeverParent() error { return r.parent.Close() }
 // child whose ping they answer (FIFO), broadcast frames update the
 // filter machines and fan down to every child. Both run on this one
 // goroutine, so a pong is queued to its child behind every broadcast
-// that arrived before it. When the parent link dies the relay tears
+// that arrived before it. A child may have several pings in the FIFO
+// at once (SiteClient pipelines them); FIFO order on the parent link
+// matches each pong to its ping all the same. When the parent link dies the relay tears
 // itself down, cascading to all children.
 func (r *Relay) parentLoop() {
 	defer close(r.parentDone)

@@ -431,3 +431,75 @@ func TestRelayParentLossPartialTree(t *testing.T) {
 		}
 	}
 }
+
+// TestRelayPipelinedPings drives sites with a staleness window of 8
+// through relay tiers, so hundreds of pipelined pings — a child's
+// window ping and its Flush ping in flight at once — share each relay's
+// pong FIFO, and each forwarded ping flushes the relay's parent link.
+// After Flush every edge is drained: each tier handled exactly what the
+// tier below it (the sites, at the leaves) sent, the root processed
+// exactly what the top tier forwarded, no relay still owes a pong, and
+// the sample is the recorder's top-s.
+func TestRelayPipelinedPings(t *testing.T) {
+	for _, tc := range []struct {
+		shards, fanout, depth int
+	}{
+		{1, 4, 1},
+		{2, 2, 2},
+	} {
+		cfg := core.Config{K: 8, S: 8}
+		cl, rec := buildSampler(t, cfg, tc.shards, tc.fanout, tc.depth, uint64(23+tc.depth))
+		for i := 0; i < cfg.K; i++ {
+			cl.Client(i).SetStalenessWindow(8)
+		}
+		const perSite = 3000
+		feedPareto(t, cl, cfg.K, perSite)
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+
+		var sent, pings int64
+		for i := 0; i < cfg.K; i++ {
+			sent += cl.Client(i).Sent()
+			pings += cl.Client(i).FlowPings()
+		}
+		if pings < 100 {
+			t.Fatalf("%+v: only %d window pings crossed the relays", tc, pings)
+		}
+		below := sent // what the tier under the current one sent up
+		for tier := tc.depth - 1; tier >= 0; tier-- {
+			var handled, forwarded int64
+			for _, r := range cl.tiers.nodes[tier] {
+				handled += r.Forwarded() + r.Filtered()
+				forwarded += r.Forwarded()
+				r.upMu.Lock()
+				owed := len(r.pingQ)
+				r.upMu.Unlock()
+				if owed != 0 {
+					t.Errorf("%+v: %v still owes %d pongs after Flush", tc, r, owed)
+				}
+			}
+			if handled != below {
+				t.Errorf("%+v: tier %d handled %d of the %d messages sent to it", tc, tier, handled, below)
+			}
+			below = forwarded
+		}
+		if got := cl.Server().Processed(); got != below {
+			t.Errorf("%+v: root processed %d of the %d messages the top tier forwarded", tc, got, below)
+		}
+		want := rec.TopIDs(cfg.S)
+		q := cl.Server().Query()
+		if len(q) != cfg.S {
+			t.Fatalf("%+v: query size %d, want %d", tc, len(q), cfg.S)
+		}
+		for _, e := range q {
+			if !want[e.Item.ID] {
+				t.Errorf("%+v: sample item %d is not a top-%d key", tc, e.Item.ID, cfg.S)
+			}
+		}
+		t.Logf("%+v: %d site messages, %d window pings, root edge %d", tc, sent, pings, below)
+		if err := cl.Close(); err != nil {
+			t.Errorf("%+v: close: %v", tc, err)
+		}
+	}
+}

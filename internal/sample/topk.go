@@ -92,6 +92,26 @@ func (t *TopK[T]) SortedDesc() []Entry[T] {
 // Reset empties the structure, retaining capacity.
 func (t *TopK[T]) Reset() { t.h = t.h[:0] }
 
+// Retain keeps the entries for which keep reports true and hands every
+// other entry to drop, both in Items order, without allocating. The
+// heap ends up exactly as Reset followed by Offer of the kept entries in
+// Items order would leave it: each kept entry is written to the next
+// free slot w and sifted up at once, and the sift touches only slots
+// below w, all of which have been read already.
+func (t *TopK[T]) Retain(keep func(Entry[T]) bool, drop func(Entry[T])) {
+	w := 0
+	for _, e := range t.h {
+		if !keep(e) {
+			drop(e)
+			continue
+		}
+		t.h[w] = e
+		t.up(w)
+		w++
+	}
+	t.h = t.h[:w]
+}
+
 func (t *TopK[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -206,3 +206,81 @@ func FuzzSelectTop(f *testing.F) {
 		checkSelectTop(t, "fuzz", keys, int(sRaw)%(len(data)+2))
 	})
 }
+
+// TestTopKRetainMatchesResetOffer pins Retain to its reference: the
+// heap must equal, slot for slot, Reset followed by Offer of the kept
+// entries in Items order, and drop must see the rest in Items order.
+// Keys come from 8 values, so ties are common; the rows include keeping
+// every entry and keeping none.
+func TestTopKRetainMatchesResetOffer(t *testing.T) {
+	rng := xrand.New(9)
+	for trial := 0; trial < 500; trial++ {
+		k := 1 + rng.Intn(40)
+		top, ref := NewTopK[int](k), NewTopK[int](k)
+		for i, n := 0, rng.Intn(3*k+1); i < n; i++ {
+			key := float64(rng.Intn(8))
+			top.Offer(key, i)
+			ref.Offer(key, i)
+		}
+		mod := 1 + rng.Intn(4) // keep IDs not divisible by mod; mod 1 keeps none
+		keep := func(e Entry[int]) bool { return e.Val%mod != 0 }
+		switch trial % 10 {
+		case 0:
+			keep = func(Entry[int]) bool { return true }
+		case 1:
+			keep = func(Entry[int]) bool { return false }
+		}
+
+		var kept, wantDropped, dropped []Entry[int]
+		for _, e := range ref.Items() {
+			if keep(e) {
+				kept = append(kept, e)
+			} else {
+				wantDropped = append(wantDropped, e)
+			}
+		}
+		ref.Reset()
+		for _, e := range kept {
+			ref.Offer(e.Key, e.Val)
+		}
+		top.Retain(keep, func(e Entry[int]) { dropped = append(dropped, e) })
+
+		if !slices.Equal(top.Items(), ref.Items()) {
+			t.Fatalf("trial %d: Retain heap %v, Reset+Offer heap %v", trial, top.Items(), ref.Items())
+		}
+		if !slices.Equal(dropped, wantDropped) {
+			t.Fatalf("trial %d: dropped %v, want %v in Items order", trial, dropped, wantDropped)
+		}
+	}
+}
+
+// TestTopKRetainAllocs pins Retain as allocation-free, closures
+// included: the coordinator runs it on every level saturation.
+func TestTopKRetainAllocs(t *testing.T) {
+	const k = 64
+	top := NewTopK[int](k)
+	rng := xrand.New(10)
+	keys := make([]float64, k)
+	for i := range keys {
+		keys[i] = rng.Float64()
+	}
+	level := 0
+	released := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		top.Reset()
+		for i, key := range keys {
+			top.Offer(key, i)
+		}
+		level = (level + 1) % 4
+		top.Retain(
+			func(e Entry[int]) bool { return e.Val%4 != level },
+			func(e Entry[int]) { released++ },
+		)
+	})
+	if allocs != 0 {
+		t.Errorf("Retain allocated %.1f times per call, want 0", allocs)
+	}
+	if released == 0 {
+		t.Error("Retain dropped nothing")
+	}
+}

@@ -80,11 +80,70 @@ func (f *fakeCoordinator) broadcast(t *testing.T, m core.Message) {
 	}
 }
 
+// quiet asserts that the client puts nothing on the wire for d.
+func (f *fakeCoordinator) quiet(t *testing.T, d time.Duration) {
+	t.Helper()
+	select {
+	case p := <-f.frames:
+		t.Fatalf("client sent a %d-byte frame past the staleness window", len(p))
+	case <-time.After(d):
+	}
+}
+
+// windowSchedule reads the frames of a client that observes total
+// weight-1 items (one message each) under window W, against a
+// coordinator that withholds every pong until the client has stopped.
+// It asserts the pipelined schedule: every window ping goes out when
+// exactly ⌈W/2⌉ messages are unacknowledged, and the client stops with
+// exactly W unacknowledged, stays silent for 100 ms, and counts one
+// wait before the pong that releases it. afterMessage runs after each
+// message (the drip test's broadcast). It returns the pings and stops.
+func (f *fakeCoordinator) windowSchedule(t *testing.T, c *SiteClient, W, total int, afterMessage func()) (pings, stops int) {
+	t.Helper()
+	half := (W + 1) / 2
+	sent, acked := 0, 0
+	var horizons []int // outstanding pings, oldest first
+	for sent < total {
+		if sent-acked == W {
+			f.quiet(t, 100*time.Millisecond)
+			for start := time.Now(); c.FlowWaits() != int64(stops+1); {
+				if time.Since(start) > 2*time.Second {
+					t.Fatalf("stop %d: the client never counted its wait (FlowWaits %d)", stops+1, c.FlowWaits())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if len(horizons) == 0 {
+				t.Fatalf("client stopped at %d messages with no ping outstanding", sent)
+			}
+			f.pong(t)
+			acked, horizons = horizons[0], horizons[1:]
+			stops++
+			continue
+		}
+		msgs, ping := f.nextFrames(t, 1)
+		if ping {
+			if sent-acked != half {
+				t.Fatalf("window ping at %d unacknowledged messages, want exactly ⌈W/2⌉ = %d", sent-acked, half)
+			}
+			horizons = append(horizons, sent)
+			pings++
+			continue
+		}
+		sent += msgs
+		if afterMessage != nil {
+			afterMessage()
+		}
+	}
+	return pings, stops
+}
+
 // TestStalenessWindowForcesSync proves the bounded-staleness invariant
-// directly: with window W and a coordinator that never responds, the
-// client sends exactly W messages, then a ping, then nothing until the
-// pong arrives — it can never run more than W messages ahead of the
-// control plane.
+// directly: with window W and a coordinator that withholds pongs, the
+// client sends exactly ⌈W/2⌉ messages, a ping, exactly W − ⌈W/2⌉ more,
+// and then nothing until a pong arrives — it can never run more than W
+// messages ahead of the control plane. Every later stretch behaves
+// alike: a pong acknowledges the oldest ping's horizon, the client
+// pings again at ⌈W/2⌉ unacknowledged and stops again at W.
 func TestStalenessWindowForcesSync(t *testing.T) {
 	const W = 8
 	cfg := core.Config{K: 1, S: 1}
@@ -111,34 +170,21 @@ func TestStalenessWindowForcesSync(t *testing.T) {
 		feedErr <- nil
 	}()
 
-	msgs, ping := fake.nextFrames(t, W+1)
-	if !ping || msgs != W {
-		t.Fatalf("first sync: saw %d messages before ping=%v, want exactly %d then ping", msgs, ping, W)
-	}
-	// While the pong is withheld the client must stay silent.
-	select {
-	case p := <-fake.frames:
-		t.Fatalf("client sent a %d-byte frame past the staleness window", len(p))
-	case <-time.After(100 * time.Millisecond):
-	}
-	fake.pong(t)
-
-	msgs, ping = fake.nextFrames(t, W+1)
-	if !ping || msgs != W {
-		t.Fatalf("second sync: saw %d messages before ping=%v, want exactly %d then ping", msgs, ping, W)
-	}
-	fake.pong(t)
-
-	// The tail (5 < W messages) flows without another round-trip.
-	msgs, ping = fake.nextFrames(t, total-2*W)
-	if ping || msgs != total-2*W {
-		t.Fatalf("tail: got %d messages, ping=%v", msgs, ping)
-	}
+	// 21 items at W = 8: ping at 4, stop at 8; then after each pong a
+	// ping at once (W − ⌈W/2⌉ = ⌈W/2⌉ for even W) and a stop 4 later, at
+	// 12, 16 and 20; the last pong leaves a ping and a 1-message tail.
+	pings, stops := fake.windowSchedule(t, c, W, total, nil)
 	if err := <-feedErr; err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FlowPings(); got != 2 {
-		t.Errorf("flow pings = %d, want 2", got)
+	if pings != 5 || stops != 4 {
+		t.Errorf("schedule: %d pings and %d stops, want 5 and 4", pings, stops)
+	}
+	if got := c.FlowPings(); got != int64(pings) {
+		t.Errorf("flow pings = %d, want %d", got, pings)
+	}
+	if got := c.FlowWaits(); got != int64(stops) {
+		t.Errorf("flow waits = %d, want %d", got, stops)
 	}
 	if got := c.Sent(); got != total {
 		t.Errorf("Sent() = %d, want %d", got, total)
@@ -147,12 +193,12 @@ func TestStalenessWindowForcesSync(t *testing.T) {
 
 // TestBroadcastDripDoesNotExtendWindow proves the hard half of the
 // invariant: a steady drip of (possibly arbitrarily old) broadcasts
-// must not postpone the forced round-trip. Socket buffering lets a
-// site pipeline thousands of messages ahead of the coordinator while
-// still receiving stale broadcasts — if applying one reset the window,
-// flow control would never engage and the O(n) regression would
-// reappear at full throughput (observed at GOMAXPROCS=2 before this
-// was pinned).
+// must not postpone the stop at W unacknowledged messages. Socket
+// buffering lets a site pipeline thousands of messages ahead of the
+// coordinator while still receiving stale broadcasts — if applying one
+// reset the window, flow control would never engage and the O(n)
+// regression would reappear at full throughput (observed at
+// GOMAXPROCS=2 before this was pinned).
 func TestBroadcastDripDoesNotExtendWindow(t *testing.T) {
 	const W = 8
 	cfg := core.Config{K: 1, S: 1}
@@ -171,9 +217,17 @@ func TestBroadcastDripDoesNotExtendWindow(t *testing.T) {
 		return c.site.Applied
 	}
 
+	// The feeder observes each item only once the broadcast answering
+	// the previous message is queued at the client, so the client
+	// applies every broadcast between two of its own messages, never
+	// just before a pong that would mask a window reset.
+	const total = 2*W + 1
+	gate := make(chan struct{}, total+1)
+	gate <- struct{}{}
 	feedErr := make(chan error, 1)
 	go func() {
-		for i := 0; i < 2*W+1; i++ {
+		for i := 0; i < total; i++ {
+			<-gate
 			if err := c.Observe(stream.Item{ID: uint64(i), Weight: 1}); err != nil {
 				feedErr <- err
 				return
@@ -184,30 +238,26 @@ func TestBroadcastDripDoesNotExtendWindow(t *testing.T) {
 
 	// Drip a broadcast after every message (a saturated level the
 	// weight-1 items don't occupy, so the site keeps sending) and
-	// confirm the client still pings after exactly W messages.
-	for round := 0; round < 2; round++ {
-		got := 0
-		for {
-			msgs, ping := fake.nextFrames(t, 1)
-			if ping {
-				break
+	// confirm the client still stops after exactly W unacknowledged
+	// messages: pings at 4, 8, 12 and 16, stops at 8, 12 and 16.
+	pings, stops := fake.windowSchedule(t, c, W, total, func() {
+		fake.broadcast(t, core.Message{Kind: core.MsgLevelSaturated, Level: 7})
+		for start := time.Now(); !c.hasPending.Load(); {
+			if time.Since(start) > 2*time.Second {
+				t.Fatal("broadcast never reached the client's queue")
 			}
-			got += msgs
-			fake.broadcast(t, core.Message{Kind: core.MsgLevelSaturated, Level: 7})
+			time.Sleep(100 * time.Microsecond)
 		}
-		if got != W {
-			t.Fatalf("round %d: %d messages before forced sync, want exactly %d", round, got, W)
-		}
-		fake.pong(t)
-	}
-	if msgs, ping := fake.nextFrames(t, 1); ping || msgs != 1 {
-		t.Fatalf("tail: got %d messages, ping=%v", msgs, ping)
-	}
+		gate <- struct{}{}
+	})
 	if err := <-feedErr; err != nil {
 		t.Fatal(err)
 	}
-	if got := c.FlowPings(); got != 2 {
-		t.Errorf("flow pings = %d, want 2", got)
+	if pings != 4 || stops != 3 {
+		t.Errorf("schedule: %d pings and %d stops, want 4 and 3", pings, stops)
+	}
+	if got := c.FlowPings(); got != int64(pings) {
+		t.Errorf("flow pings = %d, want %d", got, pings)
 	}
 	// The dripped broadcasts were in fact applied along the way — they
 	// just must not masquerade as control-plane freshness.
@@ -216,13 +266,13 @@ func TestBroadcastDripDoesNotExtendWindow(t *testing.T) {
 	}
 }
 
-// TestStalePongDrainedBeforeSync pins the stale-pong hazard: if a sync
-// errors after writing its ping but before consuming the pong, the pong
-// can arrive later and sit in the buffer. A subsequent sync must not
-// return on that stale pong — it would report an earlier processing
-// horizon than its own ping proves, silently voiding the staleness
-// bound. syncCoordinator therefore drains buffered pongs before writing
-// a new ping.
+// TestStalePongDrainedBeforeSync pins the stale-pong hazard: a pong
+// that arrives with no ping outstanding (its wait failed after the ping
+// went out) is counted by the read loop. A later Flush must not return
+// on that stale pong — it would report an earlier processing horizon
+// than its own ping proves, silently voiding the staleness bound. The
+// client therefore absorbs, and discards, every counted pong before it
+// queues a new ping.
 func TestStalePongDrainedBeforeSync(t *testing.T) {
 	cfg := core.Config{K: 1, S: 1}
 	cli, srv := net.Pipe()
@@ -233,10 +283,10 @@ func TestStalePongDrainedBeforeSync(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Simulate the aftermath of an errored sync: a pong arrives with no
-	// one waiting and is buffered by the read loop.
+	// Simulate the aftermath of an errored wait: a pong arrives with no
+	// ping outstanding and is counted by the read loop.
 	fake.pong(t)
-	for start := time.Now(); len(c.pong) == 0; {
+	for start := time.Now(); c.pongs.Load() == 0; {
 		if time.Since(start) > 2*time.Second {
 			t.Fatal("stale pong never reached the client buffer")
 		}
@@ -253,6 +303,11 @@ func TestStalePongDrainedBeforeSync(t *testing.T) {
 	if msgs, ping := fake.nextFrames(t, 1); !ping || msgs != 0 {
 		t.Fatalf("expected a ping, saw %d messages (ping=%v)", msgs, ping)
 	}
+	select {
+	case err := <-flushDone:
+		t.Fatalf("Flush returned on the stale pong (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
 	fake.broadcast(t, core.Message{Kind: core.MsgEpochUpdate, Threshold: 5})
 	fake.pong(t)
 	if err := <-flushDone; err != nil {
@@ -260,6 +315,133 @@ func TestStalePongDrainedBeforeSync(t *testing.T) {
 	}
 	if got := c.Site().Threshold(); got != 5 {
 		t.Errorf("sync returned at a stale horizon: threshold %g, want 5", got)
+	}
+}
+
+// TestEarlyPongCostsNoWait pins what pipelining buys: a coordinator
+// that answers each window ping before the client has framed another
+// ⌈W/2⌉ messages never blocks it. The client pings every ⌈W/2⌉ messages
+// and the waits counter stays at 0.
+func TestEarlyPongCostsNoWait(t *testing.T) {
+	const W = 8
+	cfg := core.Config{K: 1, S: 1}
+	cli, srv := net.Pipe()
+	fake := newFakeCoordinator(srv)
+	c, err := NewSiteClient(cli, 0, cfg, xrand.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetStalenessWindow(W)
+
+	// The feeder observes one item per gate token, so each pong is
+	// counted before the next item; a client that blocked anyway leaves
+	// nextFrames waiting for a message and fails the test.
+	const total = 5 * W
+	gate := make(chan struct{}, 1)
+	feedErr := make(chan error, 1)
+	go func() {
+		for i := 0; i < total; i++ {
+			<-gate
+			if err := c.Observe(stream.Item{ID: uint64(i), Weight: 1}); err != nil {
+				feedErr <- err
+				return
+			}
+		}
+		feedErr <- nil
+	}()
+	var answered int64
+	for i := 0; i < total; i++ {
+		gate <- struct{}{}
+		// A window ping, if one went out, precedes this item's message.
+		msgs, ping := fake.nextFrames(t, 1)
+		if ping {
+			fake.pong(t)
+			answered++
+			for start := time.Now(); c.pongs.Load() != answered; {
+				if time.Since(start) > 2*time.Second {
+					t.Fatal("pong never reached the client")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			msgs, ping = fake.nextFrames(t, 1)
+		}
+		if ping || msgs != 1 {
+			t.Fatalf("item %d: got %d messages, ping=%v; want one message", i, msgs, ping)
+		}
+	}
+	if err := <-feedErr; err != nil {
+		t.Fatal(err)
+	}
+	if got := c.FlowWaits(); got != 0 {
+		t.Errorf("flow waits = %d, want 0: every pong landed within half a window", got)
+	}
+	// Pings at 4, 8, ..., 36 unacknowledged-from-zero messages: the one
+	// due at 40 waits for a 41st item.
+	if got, want := c.FlowPings(), int64(total/(W/2)-1); got != want || answered != want {
+		t.Errorf("flow pings = %d (answered %d), want %d", got, answered, want)
+	}
+	if got := c.Sent(); got != total {
+		t.Errorf("Sent() = %d, want %d", got, total)
+	}
+}
+
+// TestFlushWaitsForEveryOutstandingPong pins the ping FIFO: with a
+// window ping still unanswered, Flush queues its own ping behind it and
+// returns only after both pongs. A pong answers the oldest ping, so the
+// first pong must not end the Flush, and the broadcast the coordinator
+// queued ahead of the second must be applied when it does end.
+func TestFlushWaitsForEveryOutstandingPong(t *testing.T) {
+	const W = 8
+	cfg := core.Config{K: 1, S: 1}
+	cli, srv := net.Pipe()
+	fake := newFakeCoordinator(srv)
+	c, err := NewSiteClient(cli, 0, cfg, xrand.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetStalenessWindow(W)
+
+	for i := 0; i < W/2+1; i++ {
+		if err := c.Observe(stream.Item{ID: uint64(i), Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if msgs, ping := fake.nextFrames(t, W); !ping || msgs != W/2 {
+		t.Fatalf("saw %d messages before ping=%v, want %d then the window ping", msgs, ping, W/2)
+	}
+	if msgs, ping := fake.nextFrames(t, 1); ping || msgs != 1 {
+		t.Fatalf("got %d messages, ping=%v after the window ping; want one message", msgs, ping)
+	}
+
+	flushDone := make(chan error, 1)
+	go func() { flushDone <- c.Flush() }()
+	if msgs, ping := fake.nextFrames(t, 1); !ping || msgs != 0 {
+		t.Fatalf("expected Flush's ping, saw %d messages (ping=%v)", msgs, ping)
+	}
+	fake.pong(t) // answers the window ping
+	select {
+	case err := <-flushDone:
+		t.Fatalf("Flush returned on the window ping's pong (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	fake.broadcast(t, core.Message{Kind: core.MsgEpochUpdate, Threshold: 5})
+	fake.pong(t) // answers Flush's ping
+	if err := <-flushDone; err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Site().Threshold(); got != 5 {
+		t.Errorf("Flush returned before applying the broadcast ahead of its pong: threshold %g, want 5", got)
+	}
+	c.mu.Lock()
+	acked, sent, queued := c.acked, c.up.msgs, c.inflight.n
+	c.mu.Unlock()
+	if acked != sent || queued != 0 {
+		t.Errorf("after Flush: acked %d of %d messages, %d pings still queued", acked, sent, queued)
+	}
+	if got := c.FlowWaits(); got != 0 {
+		t.Errorf("flow waits = %d, want 0 (Flush's waits are not window waits)", got)
 	}
 }
 
@@ -323,11 +505,11 @@ func TestTCPSublinearUnderSingleCPU(t *testing.T) {
 	if sent > n/2 {
 		t.Errorf("upstream messages %d not sublinear in %d updates under GOMAXPROCS=1", sent, n)
 	}
-	// The round-trip overhead is provably bounded: each flow ping needs
-	// a full window W of sends since the last reset.
+	// The ping overhead is provably bounded: consecutive window pings
+	// are at least ⌈W/2⌉ sends apart.
 	w := int64(cfg.StalenessWindow())
-	if pings > sent/w+int64(cfg.K) {
-		t.Errorf("%d flow pings for %d sends exceeds the sent/W=%d bound", pings, sent, sent/w)
+	if pings > 2*sent/w+int64(cfg.K) {
+		t.Errorf("%d flow pings for %d sends exceeds the 2·sent/W=%d bound", pings, sent, 2*sent/w)
 	}
 	t.Logf("GOMAXPROCS=1: %d messages for %d updates, %d flow pings (W=%d)", sent, n, pings, w)
 	for _, c := range clients {

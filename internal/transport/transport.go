@@ -12,13 +12,15 @@
 // is starve the control plane indefinitely — a site that keeps sending
 // while broadcasts lag the whole feed degenerates to the naive O(n)
 // protocol. SiteClient therefore enforces a bounded-staleness window W
-// (core.Config.StalenessWindow, max(64, 4·⌈s/k⌉)): after every W
-// upstream messages it round-trips a ping before sending more, which
-// fully synchronizes its view of the control plane. The round-trip
-// costs 2 messages per W sent, and a broadcast that all k sites see
-// late costs at most k·W extra messages, a constant times Theorem 3's
-// per-epoch budget, so the message bound survives any scheduler or
-// network timing.
+// (core.Config.StalenessWindow, max(64, 4·⌈s/k⌉)): it never has more
+// than W upstream messages unacknowledged, and a pong acknowledges a
+// ping only after every broadcast queued before it has been applied.
+// Pings are pipelined: one goes out, without waiting, once ⌈W/2⌉
+// messages are unacknowledged, so a site blocks only when the
+// coordinator falls a whole window behind. They cost 2 messages per
+// ⌈W/2⌉ sent, and a broadcast that all k sites see late costs at most
+// k·W extra messages, a constant times Theorem 3's per-epoch budget,
+// so the message bound survives any scheduler or network timing.
 //
 // Sharding: a server can host P independent protocol shards (see
 // package fabric and DESIGN.md §9), each with its own coordinator state
@@ -342,39 +344,49 @@ type shardMsg struct {
 //
 // Control plane: the background readLoop parses incoming frames into a
 // pending-broadcast queue without touching the site state machines, and
-// Observe drains that queue before filtering each item — a broadcast is
-// applied at the first Observe after it arrives, never blocked behind a
-// network write or a busy data path.
+// ObserveBatch drains that queue before filtering each item — a
+// broadcast is applied at the first item after it arrives, never
+// blocked behind a network write or a busy data path.
 //
-// Flow control: the client round-trips a ping every W-th upstream
-// message (W = the staleness window); per-connection FIFO guarantees
-// that when the pong arrives, the coordinator has processed everything
-// this client sent — on every shard; the shards share the FIFO — and
-// every broadcast that processing triggered has been applied locally.
-// This caps how far a site can outrun the control plane at W messages
-// total across its shards on any scheduler or network — socket
-// buffering included — at a cost of exactly 2 extra messages per W
-// sent (see DESIGN.md).
+// Flow control: per-connection FIFO guarantees that when the pong to a
+// ping arrives, the coordinator has processed everything this client
+// sent before the ping — on every shard; the shards share the FIFO —
+// and every broadcast that processing triggered is queued ahead of the
+// pong. The client keeps acked, the horizon of the last pong it
+// consumed, and never frames a message while W (the staleness window)
+// are unacknowledged. Pings are pipelined: a window ping goes out
+// without waiting once ⌈W/2⌉ messages are unacknowledged, so the client
+// blocks only when a pong is still missing half a window later. This
+// caps how far a site can outrun the control plane at W messages total
+// across its shards on any scheduler or network — socket buffering
+// included — at a cost of at most 2 extra messages per ⌈W/2⌉ sent (see
+// DESIGN.md).
 //
 // Observe, ObserveBatch, and Flush must be called from one goroutine;
 // the broadcast reader runs in the background and synchronizes with
 // them internally.
 type SiteClient struct {
 	// mu guards the site state machines, the uplink they frame their
-	// messages into from inside their callbacks, and the staleness
-	// counters; it is the connection's dedicated writer mutex (Uplink).
-	mu       sync.Mutex
-	machines []netsim.Site[core.Message]
-	site     *core.Site // machines[0] when it is a plain sampler site, else nil
-	conn     net.Conn
-	tagged   bool // len(machines) > 1: arrivals are routed by fabric.ShardOf
-	up       *Uplink
-	window   int64 // bounded-staleness window W
-	synced   int64 // up.msgs at the last completed round-trip
+	// messages into from inside their callbacks, and the flow-control
+	// state; it is the connection's dedicated writer mutex (Uplink).
+	// ObserveBatch holds it across a whole batch and releases it only
+	// while it waits for a pong.
+	mu        sync.Mutex
+	machines  []netsim.Site[core.Message]
+	site      *core.Site // machines[0] when it is a plain sampler site, else nil
+	conn      net.Conn
+	tagged    bool // len(machines) > 1: arrivals are routed by fabric.ShardOf
+	up        *Uplink
+	window    int64 // bounded-staleness window W
+	half      int64 // ⌈W/2⌉: the unacknowledged count that sends a window ping
+	acked     int64 // up.msgs horizon of the last pong consumed
+	inflight  pingQueue
+	pongsSeen int64 // pongs consumed or discarded, up to pongs
 
 	sent      atomic.Int64
 	sentWords atomic.Int64
 	flowPings atomic.Int64
+	flowWaits atomic.Int64
 
 	curShard int   // shard the in-flight Observe emits into
 	emitErr  error // first write error surfaced by a mid-observe frame split
@@ -385,9 +397,45 @@ type SiteClient struct {
 	pending    []shardMsg
 	hasPending atomic.Bool
 
-	pong       chan struct{}
+	pongs      atomic.Int64  // pongs the read loop has received
+	pongWake   chan struct{} // 1-slot: a token after each pong
 	readerDone chan struct{}
 	readerErr  error
+}
+
+// outstandingPing is a ping awaiting its pong.
+type outstandingPing struct {
+	horizon int64 // up.msgs when the ping was written
+	window  bool  // sent by the staleness window, not by Flush
+}
+
+// pingQueue is the FIFO of pings awaiting their pongs, oldest first. It
+// holds at most one window ping (the client sends none while one is
+// outstanding) and one Flush ping (Flush waits for the queue to empty,
+// and a failed wait means the read loop has ended, after which no ping
+// is queued), so two fixed slots suffice.
+type pingQueue struct {
+	slot [2]outstandingPing
+	n    int
+}
+
+// push queues a ping written at the given horizon.
+func (q *pingQueue) push(horizon int64, window bool) {
+	q.slot[q.n] = outstandingPing{horizon, window}
+	q.n++
+}
+
+// pop dequeues the oldest ping and returns its horizon.
+func (q *pingQueue) pop() int64 {
+	h := q.slot[0].horizon
+	q.slot[0] = q.slot[1]
+	q.n--
+	return h
+}
+
+// windowPing reports whether a window ping is outstanding.
+func (q *pingQueue) windowPing() bool {
+	return (q.n > 0 && q.slot[0].window) || (q.n > 1 && q.slot[1].window)
 }
 
 // DialSite connects a plain sampler site to the coordinator at addr.
@@ -439,10 +487,10 @@ func NewShardedSiteClient(conn net.Conn, machines []netsim.Site[core.Message], c
 		conn:       conn,
 		tagged:     len(machines) > 1,
 		up:         NewUplink(conn, len(machines)),
-		window:     int64(cfg.StalenessWindow()),
-		pong:       make(chan struct{}, 4),
+		pongWake:   make(chan struct{}, 1),
 		readerDone: make(chan struct{}),
 	}
+	c.setWindow(cfg.StalenessWindow())
 	if len(machines) == 1 {
 		c.site, _ = machines[0].(*core.Site)
 	}
@@ -462,12 +510,15 @@ func NewShardedSiteClient(conn net.Conn, machines []netsim.Site[core.Message], c
 // SetStalenessWindow overrides the flow-control window W (default
 // cfg.StalenessWindow()). Must be called before the first Observe.
 func (c *SiteClient) SetStalenessWindow(w int) {
-	if w < 1 {
-		w = 1
-	}
 	c.mu.Lock()
-	c.window = int64(w)
+	c.setWindow(w)
 	c.mu.Unlock()
+}
+
+// setWindow sets W (at least 1) and the window-ping mark ⌈W/2⌉.
+func (c *SiteClient) setWindow(w int) {
+	c.window = int64(max(w, 1))
+	c.half = (c.window + 1) / 2
 }
 
 // readLoop parses incoming frames. Broadcasts go into the pending queue
@@ -483,11 +534,15 @@ func (c *SiteClient) readLoop() {
 	c.readerErr = wire.ReadFrames(bufio.NewReader(c.conn), c.readFrame)
 }
 
-// readFrame handles one incoming frame on the read loop.
+// readFrame handles one incoming frame on the read loop. A pong only
+// bumps the pong counter and leaves a wake token: the client matches it
+// to its ping under mu (absorbPongs). Every broadcast read before the
+// pong is in the pending queue by the time the count moves.
 func (c *SiteClient) readFrame(payload []byte) error {
 	if wire.IsPong(payload) {
+		c.pongs.Add(1)
 		select {
-		case c.pong <- struct{}{}:
+		case c.pongWake <- struct{}{}:
 		default:
 		}
 		return nil
@@ -510,41 +565,37 @@ func (c *SiteClient) readFrame(payload []byte) error {
 }
 
 // drainPending applies every queued broadcast to its shard's site state
-// machine. The fast path is one atomic load.
+// machine. The fast path is one inlined atomic load. Caller holds mu.
 //
 // Deliberately NOT a staleness reset: a just-applied broadcast can be
 // arbitrarily old — under full pipelining the kernel socket buffers
 // let a site run thousands of messages ahead of the coordinator while
 // a steady drip of stale broadcasts keeps arriving, which would starve
-// the window forever if applying one reset the clock. Only a completed
-// round-trip (syncCoordinator) proves the site is current.
-func (c *SiteClient) drainPending() bool {
-	if !c.hasPending.Load() {
-		return false
+// the window forever if applying one reset the clock. Only a pong
+// (absorbPongs) proves how far the coordinator has come.
+func (c *SiteClient) drainPending() {
+	if c.hasPending.Load() {
+		c.applyPending()
 	}
+}
+
+// applyPending is drainPending's slow path. Caller holds mu.
+func (c *SiteClient) applyPending() {
 	c.pendMu.Lock()
 	batch := c.pending
 	c.pending = nil
 	c.hasPending.Store(false)
 	c.pendMu.Unlock()
-	if len(batch) == 0 {
-		return false
-	}
-	c.mu.Lock()
 	for _, sm := range batch {
 		c.machines[sm.shard].HandleBroadcast(sm.m)
 	}
-	c.mu.Unlock()
-	return true
 }
 
-// needSync reports whether sending the currently framed messages would
-// exceed the staleness window: messages count toward it from the moment
-// they are written, not when they are flushed.
-func (c *SiteClient) needSync() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.up.msgs-c.synced+int64(c.up.framed) >= c.window
+// unacked is the staleness counter: messages framed or written since
+// the horizon of the last pong consumed. Messages count from the moment
+// they are framed, not when they are flushed. Caller holds mu.
+func (c *SiteClient) unacked() int64 {
+	return c.up.msgs + int64(c.up.framed) - c.acked
 }
 
 // commit publishes everything the uplink has written to Sent(). Caller
@@ -554,44 +605,93 @@ func (c *SiteClient) commit() {
 	c.sentWords.Store(c.up.words)
 }
 
-// syncCoordinator ships and flushes everything framed, round-trips a
-// ping, and applies the broadcasts that arrived before the pong.
-// Per-connection FIFO at both ends guarantees that when the pong is
-// received, the coordinator has processed every message this client
-// sent — every shard's, since they share the connection — and every
-// broadcast those messages triggered has been queued ahead of the pong
-// — so after the drain the site's view is fully current.
-func (c *SiteClient) syncCoordinator() error {
-	// Drain stale pongs first. If an earlier sync errored after writing
-	// its ping but before consuming the pong, that pong may still arrive
-	// and sit in the buffer; returning on it would report an earlier
-	// horizon than this ping's, silently voiding the staleness bound.
-	for drained := false; !drained; {
-		select {
-		case <-c.pong:
-		default:
-			drained = true
-		}
-	}
-	c.mu.Lock()
-	err := c.up.Ping()
-	if err == nil {
-		c.commit()
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	select {
-	case <-c.pong:
-	case <-c.readerDone:
-		return fmt.Errorf("transport: connection closed during sync: %w", errOr(c.readerErr))
+// absorbPongs consumes every pong the read loop has counted. Each one
+// answers the oldest outstanding ping (per-connection FIFO), so it
+// first applies the broadcasts queued before it and then moves acked to
+// that ping's horizon. A pong with no ping outstanding — unsolicited, or
+// answering a ping whose write reported an error — is discarded:
+// matched to a later ping, it would report an earlier horizon than that
+// ping proves and silently void the staleness bound. Caller holds mu.
+func (c *SiteClient) absorbPongs() {
+	n := c.pongs.Load()
+	if n == c.pongsSeen {
+		return
 	}
 	c.drainPending()
-	c.mu.Lock()
-	c.synced = c.up.msgs
-	c.mu.Unlock()
+	for ; c.pongsSeen < n; c.pongsSeen++ {
+		if c.inflight.n > 0 {
+			c.acked = c.inflight.pop()
+		}
+	}
+}
+
+// ping ships and flushes everything framed and writes a ping behind it,
+// queued at the new horizon. Pongs already counted are absorbed first,
+// so none of them can be matched to this ping. Caller holds mu.
+func (c *SiteClient) ping(window bool) error {
+	select {
+	case <-c.readerDone:
+		// No pong can come back; keep the queue within its two slots.
+		return c.closedErr()
+	default:
+	}
+	c.absorbPongs()
+	if err := c.up.Ping(); err != nil {
+		return err
+	}
+	c.commit()
+	c.inflight.push(c.up.msgs, window)
 	return nil
+}
+
+// waitPong blocks until the read loop counts another pong or ends,
+// with mu released for the wait: no channel operation runs under it.
+// It returns an error only when the connection has ended with no pong
+// left to absorb. Caller holds mu; it is held again on return.
+func (c *SiteClient) waitPong() error {
+	c.mu.Unlock()
+	closed := false
+	select {
+	case <-c.pongWake:
+	case <-c.readerDone:
+		closed = true
+	}
+	c.mu.Lock()
+	if closed && c.pongs.Load() == c.pongsSeen {
+		return c.closedErr()
+	}
+	return nil
+}
+
+// closedErr reports a read loop that ended while a pong was awaited.
+func (c *SiteClient) closedErr() error {
+	return fmt.Errorf("transport: connection closed awaiting a pong: %w", errOr(c.readerErr))
+}
+
+// enforceWindow runs before an item once ⌈W/2⌉ messages are
+// unacknowledged: it sends a window ping unless one is outstanding, and
+// blocks while W messages are unacknowledged. Caller holds mu.
+func (c *SiteClient) enforceWindow() error {
+	waited := false
+	for {
+		c.absorbPongs()
+		if c.unacked() >= c.half && !c.inflight.windowPing() {
+			if err := c.ping(true); err != nil {
+				return err
+			}
+			c.flowPings.Add(1)
+		}
+		if c.unacked() < c.window {
+			return nil
+		}
+		if !waited {
+			waited = true
+			c.flowWaits.Add(1)
+		}
+		if err := c.waitPong(); err != nil {
+			return err
+		}
+	}
 }
 
 // Observe processes one local arrival, sending any resulting protocol
@@ -603,16 +703,17 @@ func (c *SiteClient) Observe(it stream.Item) error {
 
 // ObserveBatch processes a slice of local arrivals, coalescing the
 // resulting messages into per-shard multi-message frames with a single
-// flush at the end — the hot path for high-throughput feeds. Pending
-// broadcasts are still drained before each item and the staleness
-// window is still enforced, so batching trades no control-plane
-// freshness.
+// flush at the end — the hot path for high-throughput feeds. It takes
+// mu once for the whole batch. Pending broadcasts are still drained
+// before each item and the staleness window is still enforced, so
+// batching trades no control-plane freshness.
 func (c *SiteClient) ObserveBatch(items []stream.Item) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := range items {
 		c.drainPending()
-		if c.needSync() {
-			c.flowPings.Add(1)
-			if err := c.syncCoordinator(); err != nil {
+		if c.unacked() >= c.half {
+			if err := c.enforceWindow(); err != nil {
 				return err
 			}
 		}
@@ -621,35 +722,29 @@ func (c *SiteClient) ObserveBatch(items []stream.Item) error {
 			p = fabric.ShardOf(items[i].ID, len(c.machines))
 		}
 		c.curShard = p
-		c.mu.Lock()
 		err := c.machines[p].Observe(items[i], c.emit)
 		if err == nil {
 			err = c.emitErr
 		}
 		c.emitErr = nil
-		var serr error
-		if err == nil && c.up.full(p) {
-			serr = c.up.ship(p)
-		}
-		c.mu.Unlock()
-		if serr != nil {
-			return serr
-		}
 		if err != nil {
 			if werr := c.finishWrites(); werr != nil {
 				return errors.Join(err, werr)
 			}
 			return err
 		}
+		if c.up.full(p) {
+			if err := c.up.ship(p); err != nil {
+				return err
+			}
+		}
 	}
 	return c.finishWrites()
 }
 
 // finishWrites ships every frame under construction, flushes, and
-// commits the flushed messages to Sent().
+// commits the flushed messages to Sent(). Caller holds mu.
 func (c *SiteClient) finishWrites() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err := c.up.shipAll(); err != nil {
 		return err
 	}
@@ -660,12 +755,23 @@ func (c *SiteClient) finishWrites() error {
 	return nil
 }
 
-// Flush round-trips a ping so that every message this client sent has
-// been processed by the coordinator — and every broadcast the
-// coordinator issued up to that point has been applied locally — when
-// it returns.
+// Flush pings and waits for every outstanding pong, so that every
+// message this client sent has been processed by the coordinator — and
+// every broadcast the coordinator issued up to that point has been
+// applied locally — when it returns.
 func (c *SiteClient) Flush() error {
-	return c.syncCoordinator()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.ping(false); err != nil {
+		return err
+	}
+	for c.inflight.n > 0 {
+		if err := c.waitPong(); err != nil {
+			return err
+		}
+		c.absorbPongs()
+	}
+	return nil
 }
 
 // Sent returns the number of protocol messages this client has
@@ -677,10 +783,18 @@ func (c *SiteClient) Sent() int64 { return c.sent.Load() }
 // tags excluded).
 func (c *SiteClient) SentWords() int64 { return c.sentWords.Load() }
 
-// FlowPings returns how many ping round-trips the bounded-staleness
-// window forced (excluding explicit Flush calls). It is bounded by
-// Sent()/W, the overhead that keeps the message bound scheduler-proof.
+// FlowPings returns how many window pings the bounded-staleness window
+// sent (excluding explicit Flush calls). Consecutive window pings are
+// at least ⌈W/2⌉ messages apart, so it is bounded by Sent()/⌈W/2⌉ ≤
+// 2·Sent()/W, the overhead that keeps the message bound
+// scheduler-proof.
 func (c *SiteClient) FlowPings() int64 { return c.flowPings.Load() }
+
+// FlowWaits returns how many times the window blocked the client: W
+// messages were unacknowledged and it waited for a pong before framing
+// more (Flush's own waits excluded). A pong that lands within half a
+// window of its ping costs no wait.
+func (c *SiteClient) FlowWaits() int64 { return c.flowWaits.Load() }
 
 // Site returns the underlying plain sampler site, or nil when the
 // client drives a custom machine or multiple shard machines
